@@ -13,10 +13,9 @@ record on stderr.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
 
 from ._version import __version__
 from .config import parse_config, parse_config_text, DEFAULT_CONFIG_TEXT
@@ -29,7 +28,7 @@ from .experiments import (
 )
 from . import validate as validate_module
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main"]
 
 _COMMANDS = {
     "drop": run_galileo_pair,
@@ -42,24 +41,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CHECK = 4
-
-
-@dataclass
-class RunManifest:
-    """Invocation-level provenance written next to the experiment outputs."""
-
-    digest: str
-    command: str
-    units: dict
-    solver: dict
-    version: str = __version__
-    timestamp: str = field(default_factory=lambda: datetime.datetime.now(
-        datetime.timezone.utc).isoformat())
-    threads: int = 1
-    warnings: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,14 +121,11 @@ def main(argv=None) -> int:
             config = replace(config, **overrides)
 
         report = _COMMANDS[args.command](config)
-        manifest = RunManifest(
-            digest=report.digest,
-            command=args.command,
+        # Invocation provenance on top of the experiment's own manifest.
+        report.manifest.update(
+            digest=report.digest, command=args.command,
             units=report.manifest["config"]["units"],
-            solver=report.manifest["config"]["solver"],
-            threads=config.threads,
-        )
-        report.manifest.update(manifest.to_dict())
+            solver=report.manifest["config"]["solver"])
         paths = report.write(config.output_dir)
     except InfeasibleTargetError as exc:
         _emit_error(exc)

@@ -13,7 +13,8 @@ Engines:
 * an exact wavefunction propagator (`exact_wavefunction`) built from the
   extended Galilean transform: free spectral evolution, a coordinate
   shift by the classical drop, and a linear momentum-kick phase;
-* a Strang split-operator spectral solver (`split_step_evolve`).
+* a Strang split-operator spectral solver (`split_step_evolve`) with fused
+  half kicks: one transform pair per step and one more per record.
 
 For a linear potential the Strang commutator defect is a c-number, so the
 split solution differs from the exact one by a pure global phase
@@ -42,7 +43,8 @@ from .errors import (
     DomainError,
     PreconditionError,
 )
-from .states import MomentSet, WavepacketSpec, build_wavefunction, numeric_moments
+from .states import (MomentSet, WavepacketSpec, build_wavefunction,
+                     numeric_moments, spectral_moments)
 
 __all__ = [
     "GRAVITY",
@@ -204,13 +206,19 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
                       nyquist_margin: float = 2.0) -> EvolutionResult:
     """Strang-split spectral evolution: half kick, full drift, half kick.
 
-    Each step applies exp(-i V dt / 2 hbar) in position space, the full
-    kinetic phase in the spectral domain, and the second half kick; every
-    factor is a pure phase so the norm is conserved to roundoff. Moments,
-    norms and (optionally) the probability current at `probe_z` are
-    recorded every `record_stride` steps; full field snapshots every
-    `snapshot_stride` records (0 = none). Negative dt runs the inverse
-    evolution, used for reversibility checks.
+    Adjacent half kicks merge: the loop carries chi = exp(+i F z dt / 2
+    hbar) psi, and each step is one full kick, a transform, the kinetic
+    phase and the inverse transform; the last half kick is applied only to
+    the returned psi (final field and snapshots). Every factor is a pure
+    phase, so the norm is conserved to roundoff.
+
+    Moments, norms and (optionally) the current at `probe_z` are recorded
+    every `record_stride` steps from chi and the spectrum the step already
+    holds; psi is chi boosted by -F dt / 2, which shifts <p> and adds
+    -(F dt / 2 m) |chi(z_d)|^2 to the current. The spectral derivative for
+    cov_zp is a record's one extra transform. Snapshots are kept every
+    `snapshot_stride` steps, rounded to the record stride (0 = none).
+    Negative dt runs the inverse evolution, used for reversibility checks.
 
     Raises :class:`ConfigurationError` if the grid cannot represent the
     momentum acquired by the end of the run with a factor
@@ -227,7 +235,6 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
     hbar = unit.hbar
     mi = params.mass.m_inertial
     z = grid.points
-    k = grid.wavenumbers
 
     m0 = numeric_moments(initial, unit)
     p_reach = abs(m0.mean_p) + params.force * abs(dt) * n_steps \
@@ -237,15 +244,17 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
             f"grid resolves momenta up to {hbar * grid.k_max:.4g} but the run "
             f"acquires {p_reach:.4g} (margin {nyquist_margin}); refine the grid")
 
-    exp_half_v = np.exp(-1j * params.force * z * dt / (2.0 * hbar))
-    exp_kinetic = np.exp(-1j * hbar * k**2 * dt / (2.0 * mi))
+    half_kick = np.exp(-1j * params.force * z * dt / (2.0 * hbar))
+    kick = np.exp(-1j * params.force * z * dt / hbar)
+    kinetic = np.exp(-1j * hbar * grid.wavenumbers**2 * dt / (2.0 * mi))
+    p_shift = -0.5 * params.force * dt
+    edges = np.r_[:BOUNDARY_CELLS, -BOUNDARY_CELLS:0]
 
+    weights = None
     if probe_z is not None:
         if not (grid.z_min <= probe_z < grid.z_max):
             raise ConfigurationError(f"probe at {probe_z} outside the domain")
-        # Band-limited point evaluation: psi(z_d) = sum_k psihat_k phase_k / n
-        probe_phase = np.exp(1j * k * (probe_z - grid.z_min)) / grid.n_points
-        probe_dphase = 1j * k * probe_phase
+        weights = probe_weights(grid, probe_z)
 
     if snapshot_stride:
         snapshot_stride = max(1, snapshot_stride // record_stride) * record_stride
@@ -257,49 +266,39 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
     snap_times: list[float] = []
     snaps: list[GridField] = []
 
-    def record(step: int, psi: np.ndarray):
-        psi_k = np.fft.fft(psi)
-        rho = np.abs(psi) ** 2 * grid.spacing
-        total = float(np.sum(rho))
-        mean_z = float(np.sum(z * rho))
-        var_z = float(np.sum((z - mean_z) ** 2 * rho))
-        wk = np.abs(psi_k) ** 2
-        wk = wk / np.sum(wk)
-        mean_p = float(np.sum(hbar * k * wk))
-        var_p = float(np.sum((hbar * k - mean_p) ** 2 * wk))
-        dpsi = np.fft.ifft(1j * k * psi_k)
-        cov = hbar * float(np.imag(np.sum(np.conj(psi) * z * dpsi)
-                                   * grid.spacing)) - mean_z * mean_p
+    chi = initial.amplitudes / half_kick
+    spectrum = np.fft.fft(chi)
+
+    def record(step: int):
+        mom, total = spectral_moments(chi, spectrum, grid, hbar, p_shift)
         times.append(step * dt)
-        moments.append(MomentSet(mean_z, mean_p, var_z, var_p, cov))
+        moments.append(mom)
         norms.append(math.sqrt(total))
         if currents is not None:
-            val = probe_phase @ psi_k
-            dval = probe_dphase @ psi_k
-            currents.append((hbar / mi) * float(np.imag(np.conj(val) * dval)))
+            currents.append(probe_current(weights, spectrum, hbar, mi, p_shift))
         if snapshot_stride and step % snapshot_stride == 0:
             snap_times.append(step * dt)
-            snaps.append(GridField(grid, psi))
+            snaps.append(GridField(grid, half_kick * chi))
 
-    psi = initial.amplitudes.copy()
-    record(0, psi)
+    record(0)
     for step in range(1, n_steps + 1):
-        psi = exp_half_v * psi
-        psi = np.fft.ifft(exp_kinetic * np.fft.fft(psi))
-        psi = exp_half_v * psi
-        edge_prob = (np.sum(np.abs(psi[:BOUNDARY_CELLS]) ** 2)
-                     + np.sum(np.abs(psi[-BOUNDARY_CELLS:]) ** 2)) * grid.spacing
+        chi *= kick
+        np.fft.fft(chi, out=spectrum)
+        spectrum *= kinetic
+        np.fft.ifft(spectrum, out=chi)
+        edge = chi[edges]
+        edge_prob = float(np.vdot(edge, edge).real) * grid.spacing
         if edge_prob > boundary_tol:
             raise BoundaryBreachError(
                 f"probability {edge_prob:.3e} reached the domain edge", step)
         if step % record_stride == 0 or step == n_steps:
-            record(step, psi)
+            record(step)
 
     return EvolutionResult(
         times=np.array(times),
         moments=moments,
         norms=np.array(norms),
-        final_field=GridField(grid, psi),
+        final_field=GridField(grid, half_kick * chi),
         params=params,
         dt=dt,
         probe_z=probe_z,
@@ -307,6 +306,21 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
         snapshot_times=np.array(snap_times) if snaps else None,
         snapshot_fields=snaps if snaps else None,
     )
+
+
+def probe_weights(grid: SpatialGrid, z: float) -> np.ndarray:
+    """Rows giving the band-limited (psi(z), psi'(z)) = weights @ psi_k."""
+    k = grid.wavenumbers
+    phase = np.exp(1j * k * (z - grid.z_min)) / grid.n_points
+    return np.stack((phase, 1j * k * phase))
+
+
+def probe_current(weights: np.ndarray, psi_k: np.ndarray, hbar: float,
+                  mass: float, p_shift: float = 0.0) -> float:
+    """Current (hbar Im(psi* psi') + p_shift |psi|^2) / mass of the boosted
+    field exp(i p_shift z / hbar) psi at the probe of `weights`."""
+    val, dval = (weights @ psi_k).tolist()
+    return (hbar * (val.conjugate() * dval).imag + p_shift * abs(val) ** 2) / mass
 
 
 def refine_timestep(spec: WavepacketSpec, params: LinearPotentialParams,

@@ -239,6 +239,14 @@ def plan_domain(entries, z_detector: float, t_final: float,
     return make_grid(z_bot, z_top, n)
 
 
+def _grid_for(entries, t_final, config: ExperimentConfig) -> SpatialGrid:
+    """The planned domain for `entries`, or the config's explicit grid."""
+    if config.grid.auto:
+        return plan_domain(entries, config.z_detector, t_final, config.unit,
+                           config.grid.max_points)
+    return make_grid(config.grid.z_min, config.grid.z_max, config.grid.n_points)
+
+
 def _params_for(mass: MassPair, mode: str, strength: float) -> LinearPotentialParams:
     return LinearPotentialParams(mass=mass, field_strength=strength, mode=mode)
 
@@ -256,27 +264,20 @@ def _drop_once(spec: WavepacketSpec, mass: MassPair, mode: str,
                strength: float, config: ExperimentConfig,
                grid: SpatialGrid | None = None, label: str = ""):
     """One full split-operator drop with the detector probe; returns the
-    per-run record, the evolution result, and the arrival distribution."""
+    per-run record, the snapshot files written, and the arrival density."""
     unit = config.unit
     params = _params_for(mass, mode, strength)
     t_final = _run_length(spec, params, config.z_detector,
                           config.solver.window_sigmas, unit)
     if grid is None:
-        grid = (plan_domain([(spec, params)], config.z_detector, t_final, unit,
-                            config.grid.max_points)
-                if config.grid.auto else
-                make_grid(config.grid.z_min, config.grid.z_max,
-                          config.grid.n_points))
+        grid = _grid_for([(spec, params)], t_final, config)
     dt = t_final / config.solver.time_steps
     field0 = build_wavefunction(spec, grid)
     result = split_step_evolve(
         field0, params, dt, config.solver.time_steps,
         snapshot_stride=config.solver.snapshot_stride, unit=unit,
         probe_z=config.z_detector, record_stride=config.solver.record_stride)
-    if config.solver.snapshot_stride and result.snapshot_fields:
-        dump_snapshots(result,
-                       Path(config.output_dir) / "snapshots" / (label or mode),
-                       config.snapshot_format)
+    snapshots = _dump(result, config, f"{label}_{mode}" if label else mode)
     dist = current_tof_distribution(result, params, config.z_detector, unit,
                                     config.solver.window_sigmas)
     t_ehr = ehrenfest_tof(spec, params, config.z_detector, unit)
@@ -302,7 +303,17 @@ def _drop_once(spec: WavepacketSpec, mass: MassPair, mode: str,
         "dt": dt,
         "grid_points": grid.n_points,
     }
-    return record, result, dist
+    return record, snapshots, dist
+
+
+def _dump(result, config: ExperimentConfig, name: str) -> list[str]:
+    """Write a run's snapshots to <output_dir>/snapshots/<name>; returns the
+    files written, relative to the output directory."""
+    if not result.snapshot_fields:
+        return []
+    out = Path(config.output_dir)
+    return [path.relative_to(out).as_posix() for path in dump_snapshots(
+        result, out / "snapshots" / name, config.snapshot_format)]
 
 
 @dataclass
@@ -367,13 +378,14 @@ def _cell(value) -> str:
     return str(value) if value is not None else ""
 
 
-def _base_manifest(config: ExperimentConfig) -> dict:
+def _base_manifest(config: ExperimentConfig, snapshots=()) -> dict:
     return {
         "config": config.canonical_record(),
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "threads": config.threads,
         "warnings": [],
+        "snapshots": list(snapshots),
     }
 
 
@@ -403,13 +415,14 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
             "preparation")
 
     digest = config.digest()
-    records, dists, distributions = [], [], {}
+    records, dists, distributions, snapshots = [], [], {}, []
     for idx, particle in enumerate((p1, p2), start=1):
-        rec, _, dist = _drop_once(particle.spec, particle.mass, GRAVITY,
-                                  config.field_strength, config,
-                                  label=f"particle{idx}")
+        rec, snaps, dist = _drop_once(particle.spec, particle.mass, GRAVITY,
+                                      config.field_strength, config,
+                                      label=f"particle{idx}")
         rec["config_digest"] = digest
         records.append(rec)
+        snapshots += snaps
         dists.append(dist)
         distributions[f"particle{idx}"] = dist
 
@@ -437,7 +450,7 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
         "ks_distance": ks,
     }
     return ExperimentReport("drop", digest, records, summary=summary,
-                            manifest=_base_manifest(config),
+                            manifest=_base_manifest(config, snapshots),
                             distributions=distributions)
 
 
@@ -458,23 +471,19 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
     records = []
     identity_l1 = []
     control_l1 = None
-    distributions = {}
+    distributions, snapshots = {}, []
     for idx, particle in enumerate(config.particles, start=1):
         grav = _params_for(particle.mass, GRAVITY, config.field_strength)
         t_final = _run_length(particle.spec, grav, config.z_detector,
                               config.solver.window_sigmas, unit)
-        grid = (plan_domain([(particle.spec, grav)], config.z_detector,
-                            t_final, unit, config.grid.max_points)
-                if config.grid.auto else
-                make_grid(config.grid.z_min, config.grid.z_max,
-                          config.grid.n_points))
-        rec_g, _, dist_g = _drop_once(particle.spec, particle.mass, GRAVITY,
-                                      config.field_strength, config, grid,
-                                      label=f"particle{idx}")
-        rec_a, _, dist_a = _drop_once(particle.spec, particle.mass,
-                                      ACCELERATED_FRAME,
-                                      config.field_strength, config, grid,
-                                      label=f"particle{idx}")
+        grid = _grid_for([(particle.spec, grav)], t_final, config)
+        rec_g, snaps_g, dist_g = _drop_once(
+            particle.spec, particle.mass, GRAVITY, config.field_strength,
+            config, grid, label=f"particle{idx}")
+        rec_a, snaps_a, dist_a = _drop_once(
+            particle.spec, particle.mass, ACCELERATED_FRAME,
+            config.field_strength, config, grid, label=f"particle{idx}")
+        snapshots += snaps_g + snaps_a
         l1, ks = distribution_distance(dist_g, dist_a)
         identity_l1.append(l1)
         distributions[f"particle{idx}_gravity"] = dist_g
@@ -485,7 +494,7 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
             rec["identity_ks"] = ks
             records.append(rec)
         if idx == 1 and config.accel_factor > 0:
-            rec_c, _, dist_c = _drop_once(
+            rec_c, snaps_c, dist_c = _drop_once(
                 particle.spec, particle.mass, ACCELERATED_FRAME,
                 config.accel_factor * config.field_strength, config,
                 label="control")
@@ -494,6 +503,7 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
             rec_c["identity_l1"] = control_l1
             rec_c["identity_ks"] = float("nan")
             records.append(rec_c)
+            snapshots += snaps_c
             distributions["control"] = dist_c
 
     passed = max(identity_l1) <= 1e-10 and (
@@ -504,7 +514,7 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
         "passed": passed,
     }
     return ExperimentReport("ep_test", digest, records, summary=summary,
-                            manifest=_base_manifest(config),
+                            manifest=_base_manifest(config, snapshots),
                             distributions=distributions)
 
 
@@ -603,24 +613,22 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
     lengths = [_run_length(s, params, config.z_detector,
                            config.solver.window_sigmas, unit) for s in specs]
     t_final = max(lengths)
-    grid = (plan_domain([(s, params) for s in specs], config.z_detector,
-                        t_final, unit, config.grid.max_points)
-            if config.grid.auto else
-            make_grid(config.grid.z_min, config.grid.z_max,
-                      config.grid.n_points))
+    grid = _grid_for([(s, params) for s in specs], t_final, config)
     dt = t_final / config.solver.time_steps
+    snapshots = []
 
-    def run(s: WavepacketSpec):
-        field0 = build_wavefunction(s, grid)
-        return split_step_evolve(
-            field0, params, dt, config.solver.time_steps,
+    def run(s: WavepacketSpec, name: str):
+        result = split_step_evolve(
+            build_wavefunction(s, grid), params, dt, config.solver.time_steps,
             snapshot_stride=config.solver.snapshot_stride, unit=unit,
             probe_z=config.z_detector,
             record_stride=config.solver.record_stride)
+        snapshots.extend(_dump(result, config, name))
+        return result
 
-    res_pure = run(spec)
-    res_plus = run(branch_plus)
-    res_minus = run(branch_minus)
+    res_pure = run(spec, "pure")
+    res_plus = run(branch_plus, "branch_plus")
+    res_minus = run(branch_minus, "branch_minus")
 
     dist_pure = current_tof_distribution(res_pure, params, config.z_detector,
                                          unit, config.solver.window_sigmas)
@@ -664,6 +672,6 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
             abs(dist_pure.mean_t - dist_mixed.mean_t) > 5.0 * solver_tol,
     }
     return ExperimentReport("decohere", digest, records, summary=summary,
-                            manifest=_base_manifest(config),
+                            manifest=_base_manifest(config, snapshots),
                             distributions={"pure": dist_pure,
                                            "mixture": dist_mixed})

@@ -263,34 +263,38 @@ def analytic_moments(spec: WavepacketSpec,
 
 def numeric_moments(field: GridField,
                     unit: UnitSystem = DEFAULT_UNITS) -> MomentSet:
-    """Moments by grid quadrature, momentum side through the spectrum.
-
-    Position moments use the rectangle rule; momentum moments weight the
-    discrete spectrum |psi_k|^2; the covariance uses the spectral
-    derivative. The field must be unit-norm.
-    """
+    """Moments by grid quadrature, momentum side through the spectrum
+    (see :func:`spectral_moments`). The field must be unit-norm."""
     from .core import norm as _norm  # local import to avoid shadowing
 
     nval = _norm(field)
     if abs(nval - 1.0) > 1e-6:
         raise PreconditionError(f"field norm is {nval!r}, expected 1")
-    hbar = unit.hbar
-    z = field.grid.points
-    dz = field.grid.spacing
-    k = field.grid.wavenumbers
     psi = field.amplitudes
-    rho = np.abs(psi) ** 2 * dz
-    mean_z = float(np.sum(z * rho))
-    var_z = float(np.sum((z - mean_z) ** 2 * rho))
-    psi_k = np.fft.fft(psi)
-    wk = np.abs(psi_k) ** 2
-    wk = wk / np.sum(wk)
-    mean_p = float(np.sum(hbar * k * wk))
-    var_p = float(np.sum((hbar * k - mean_p) ** 2 * wk))
-    dpsi = np.fft.ifft(1j * k * psi_k)
-    zp_sym = hbar * float(np.imag(np.sum(np.conj(psi) * z * dpsi) * dz))
-    cov_zp = zp_sym - mean_z * mean_p
-    return MomentSet(mean_z, mean_p, var_z, var_p, cov_zp)
+    return spectral_moments(psi, np.fft.fft(psi), field.grid, unit.hbar)[0]
+
+
+def spectral_moments(psi: np.ndarray, psi_k: np.ndarray, grid: SpatialGrid,
+                     hbar: float, p_shift: float = 0.0,
+                     ) -> tuple[MomentSet, float]:
+    """Moments and squared norm of exp(i p_shift z / hbar) psi from the
+    samples `psi` (unit norm) and their spectrum `psi_k`: rectangle rule in
+    z, |psi_k|^2 weights in p, spectral derivative for the covariance. The
+    boost only moves <p>; |psi|^2, var_p and cov_zp are invariant."""
+    z, k, dz = grid.points, grid.wavenumbers, grid.spacing
+    z_psi = z * psi
+    total = float(np.vdot(psi, psi).real) * dz
+    mean_z = float(np.vdot(psi, z_psi).real) * dz
+    var_z = float(np.vdot(z_psi, z_psi).real) * dz - mean_z**2 * (2.0 - total)
+    k_psi = k * psi_k
+    weight = float(np.vdot(psi_k, psi_k).real)
+    mean_k = float(np.vdot(psi_k, k_psi).real) / weight
+    var_p = hbar**2 * (float(np.vdot(k_psi, k_psi).real) / weight - mean_k**2)
+    # psi' = i ifft(k psi_k), so Re <z p> = hbar Re sum conj(z psi) ifft(k psi_k)
+    zp_sym = hbar * float(np.vdot(z_psi, np.fft.ifft(k_psi)).real) * dz
+    mean_p = hbar * mean_k
+    return MomentSet(mean_z, mean_p + p_shift, var_z, var_p,
+                     zp_sym - mean_z * mean_p), total
 
 
 def mixture_moments(spec: WavepacketSpec,

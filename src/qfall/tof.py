@@ -30,7 +30,8 @@ from .errors import (
     NoCrossingError,
     PreconditionError,
 )
-from .evolve import EvolutionResult, LinearPotentialParams, moment_evolution
+from .evolve import (EvolutionResult, LinearPotentialParams, moment_evolution,
+                     probe_current, probe_weights)
 from .states import MomentSet, WavepacketSpec, analytic_moments
 
 __all__ = [
@@ -314,15 +315,9 @@ def _current_samples(result: EvolutionResult, z_detector: float,
         grid = result.snapshot_fields[0].grid
         if not (grid.z_min <= z_detector < grid.z_max):
             raise DomainError(f"detector at {z_detector} outside the domain")
-        k = grid.wavenumbers
-        phase = np.exp(1j * k * (z_detector - grid.z_min)) / grid.n_points
-        dphase = 1j * k * phase
-        vals = []
-        for fld in result.snapshot_fields:
-            psi_k = np.fft.fft(fld.amplitudes)
-            val = phase @ psi_k
-            dval = dphase @ psi_k
-            vals.append((hbar / mi) * float(np.imag(np.conj(val) * dval)))
+        weights = probe_weights(grid, z_detector)
+        vals = [probe_current(weights, np.fft.fft(fld.amplitudes), hbar, mi)
+                for fld in result.snapshot_fields]
         return np.asarray(result.snapshot_times), np.array(vals)
     raise PreconditionError(
         "run carries neither a detector probe nor field snapshots; rerun "

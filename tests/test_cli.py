@@ -174,6 +174,45 @@ def test_main_snapshot_flag(tmp_path):
     assert any(d.glob("snapshot_*.csv") for d in snap_dirs)
 
 
+def snapshot_run(tmp_path, command, text):
+    """Run `command` with snapshots; returns (snapshot dirs, files on disk,
+    files the manifest lists), paths relative to the output directory."""
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(text)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(config_path), "--out", str(out),
+                 "--snapshots", "strided:256"])
+    assert code == 0
+    manifest = json.loads(next(out.glob("*.json")).read_text())
+    dirs = {d.name for d in (out / "snapshots").iterdir()}
+    on_disk = {p.relative_to(out).as_posix()
+               for p in (out / "snapshots").rglob("*") if p.is_file()}
+    return dirs, on_disk, manifest["snapshots"]
+
+
+def test_ep_test_snapshots_one_directory_per_run(tmp_path, capsys):
+    dirs, on_disk, listed = snapshot_run(tmp_path, "ep-test", SMALL_DROP)
+    assert dirs == {"particle1_gravity", "particle1_accelerated_frame",
+                    "particle2_gravity", "particle2_accelerated_frame",
+                    "control_accelerated_frame"}
+    assert on_disk and sorted(on_disk) == sorted(listed)
+
+
+def test_decohere_dumps_its_snapshots(tmp_path, capsys):
+    dirs, on_disk, listed = snapshot_run(tmp_path, "decohere", SMALL_DROP)
+    assert dirs == {"pure", "branch_plus", "branch_minus"}
+    assert on_disk and sorted(on_disk) == sorted(listed)
+
+
+def test_manifest_lists_no_snapshots_by_default(tmp_path, capsys):
+    config_path = tmp_path / "drop.ini"
+    config_path.write_text(SMALL_DROP)
+    assert main(["drop", "--config", str(config_path), "--out",
+                 str(tmp_path)]) == 0
+    assert json.loads(next(tmp_path.glob("*.json")).read_text())[
+        "snapshots"] == []
+
+
 def test_main_infeasible_match_exits_3(tmp_path, capsys):
     text = SMALL_DROP.replace("kind = male", "kind = yurke_stoler") \
         + "\n[experiment]\nauto_match = true\n"

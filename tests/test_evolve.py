@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfall import (
     ACCELERATED_FRAME,
@@ -20,9 +22,12 @@ from qfall import (
     exact_wavefunction,
     make_grid,
     moment_evolution,
+    norm,
     numeric_moments,
     split_step_evolve,
 )
+
+from conftest import grid_for, random_cat
 
 
 def params_g(mi=1.0, mg=1.0, g=1.0, mode=GRAVITY):
@@ -240,3 +245,49 @@ def test_snapshot_dumps(tmp_path):
     assert bundle["psi"].shape == (3, 1024)
     with pytest.raises(ConfigurationError):
         dump_snapshots(res, tmp_path, fmt="hdf5")
+
+
+# --- the record against its snapshots -----------------------------------------
+
+def assert_record_matches_snapshots(spec, mass, record_stride, n_steps=64,
+                                    dt=0.004):
+    """Every record of a run (moments, norm, detector current) must equal
+    what its snapshot of psi gives; the solver takes them from the boosted
+    spectrum instead, so a wrong boost sign fails here."""
+    grid = grid_for(spec, 1024)
+    j = grid.n_points // 2  # a grid point near the packet: psi(z_j) = psi_j
+    res = split_step_evolve(build_wavefunction(spec, grid),
+                            LinearPotentialParams(mass, 1.0), dt, n_steps,
+                            snapshot_stride=record_stride,
+                            probe_z=float(grid.points[j]),
+                            record_stride=record_stride)
+    assert len(res.snapshot_fields) == len(res.moments) \
+        == n_steps // record_stride + 1
+    assert np.array_equal(res.snapshot_times, res.times)
+    for mom, nval, current, fld in zip(res.moments, res.norms,
+                                       res.probe_current, res.snapshot_fields):
+        ref = numeric_moments(fld)
+        for name in ("mean_z", "mean_p", "var_z", "var_p", "cov_zp"):
+            assert abs(getattr(mom, name) - getattr(ref, name)) <= 1e-10, name
+        assert abs(nval - norm(fld)) <= 1e-12
+        psi = fld.amplitudes
+        dpsi = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(psi))
+        ref_current = (np.conj(psi[j]) * dpsi[j]).imag / mass.m_inertial
+        assert abs(current - ref_current) <= 1e-10
+
+
+def test_record_matches_snapshots_every_step():
+    spec = WavepacketSpec.yurke_stoler(2.0, 1.0, 1.0)
+    assert analytic_moments(spec).mean_p != 0.0
+    assert_record_matches_snapshots(spec, MassPair(1.5, 2.5), record_stride=1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       m_inertial=st.floats(0.5, 4.0), m_gravitational=st.floats(0.5, 4.0),
+       record_stride=st.integers(1, 8))
+def test_record_matches_snapshots_property(seed, m_inertial, m_gravitational,
+                                           record_stride):
+    spec = random_cat(np.random.default_rng(seed))
+    assert_record_matches_snapshots(spec, MassPair(m_inertial, m_gravitational),
+                                    record_stride, n_steps=8 * record_stride)
