@@ -5,11 +5,17 @@ diff-friendliness: configs are the experiment record, and sweeps are
 usually prepared by hand-editing copies. The parser tracks line numbers
 so every complaint can name the offending key and line, and strict mode
 rejects unknown keys with a nearest-name suggestion.
+
+Sections, keys, value types and defaults all come from the canonical
+record of a default :class:`ExperimentConfig`, so a field added to a
+settings dataclass is parsed, strict-checked and listed in
+`DEFAULT_CONFIG_TEXT` with no edit here.
 """
 
 from __future__ import annotations
 
 import difflib
+import math
 import re
 
 from .core import MassPair, UnitSystem
@@ -22,80 +28,84 @@ from .experiments import (
     SolverSettings,
     SweepSettings,
 )
-from .states import WavepacketSpec
+from .states import CAT, GAUSSIAN, WavepacketSpec
 
 __all__ = ["parse_config", "parse_config_text", "DEFAULT_CONFIG_TEXT"]
-
-# Default experiment: an even cat against a width-matched Gaussian released
-# from the same height at rest; matched trivially, with distinguishable
-# arrival spreads. Works for every subcommand.
-DEFAULT_CONFIG_TEXT = """\
-[units]
-hbar = 1.0
-g = 1.0
-m_ref = 1.0
-delta0_ref = 1.0
-
-[particle1]
-kind = male
-z0 = 2.0
-delta = 1.0
-delta0 = 1.0
-m_inertial = 1.0
-m_gravitational = 1.0
-
-[particle2]
-kind = gaussian
-z0 = 2.0
-delta0 = 1.0
-m_inertial = 1.0
-m_gravitational = 1.0
-
-[grid]
-auto = true
-
-[solver]
-time_steps = 4096
-record_stride = 1
-snapshot_stride = 0
-window_sigmas = 8.0
-
-[experiment]
-z_detector = 0.0
-field_strength = 1.0
-accel_factor = 2.0
-auto_match = false
-match_tol = 1e-6
-
-[sweep]
-m_g_values = 1, 2, 4, 8, 16
-ratio_values = 1, 1.78, 3.16, 5.62, 10
-state_kinds = gaussian, male, female, yurke_stoler
-
-[output]
-dir = out
-seed = 0
-threads = 1
-"""
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_]+)\]$")
 _PARTICLE_RE = re.compile(r"^particle(\d+)$")
 
-_KNOWN_KEYS = {
-    "units": {"hbar", "g", "m_ref", "delta0_ref"},
-    "particle": {"kind", "z0", "delta", "delta0", "c_plus_re", "c_plus_im",
-                 "c_minus_re", "c_minus_im", "m_inertial", "m_gravitational"},
-    "grid": {"auto", "z_min", "z_max", "n_points", "max_points"},
-    "solver": {"time_steps", "record_stride", "snapshot_stride",
-               "window_sigmas"},
-    "experiment": {"z_detector", "field_strength", "accel_factor",
-                   "auto_match", "match_tol"},
-    "sweep": {"m_g_values", "ratio_values", "state_kinds"},
-    "output": {"dir", "seed", "threads"},
-}
+_KNOWN_KINDS = (CAT, *STATE_FAMILIES)
 
-_KNOWN_KINDS = ("gaussian", "cat") + tuple(k for k in STATE_FAMILIES
-                                           if k != "gaussian")
+# The section each settings dataclass is read from.
+_SETTINGS = {"units": UnitSystem, "grid": GridSettings,
+             "solver": SolverSettings, "sweep": SweepSettings}
+
+
+def _sections(config: ExperimentConfig) -> dict[str, dict]:
+    """The config file sections of `config`: its canonical record, with the
+    top-level scalars under [experiment], plus the [output] keys."""
+    record = config.canonical_record()
+    sections = {f"particle{i}": particle
+                for i, particle in enumerate(record.pop("particles"), 1)}
+    sections.update((name, value) for name, value in record.items()
+                    if isinstance(value, dict))
+    sections["experiment"] = {key: value for key, value in record.items()
+                              if not isinstance(value, dict)}
+    sections["output"] = {"dir": config.output_dir, "threads": config.threads}
+    return sections
+
+
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_text(item) for item in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)  # str() of a float round-trips
+
+
+def _render(config: ExperimentConfig) -> str:
+    """Config text listing every key, which parses back to `config`
+    (whose snapshot format, a command-line choice, it leaves out)."""
+    return "\n".join(
+        f"[{name}]\n" + "".join(f"{key} = {_text(value)}\n"
+                                for key, value in values.items())
+        for name, values in _sections(config).items())
+
+
+# The particle of a config file without [particleN] sections.
+_DEFAULT_PARTICLE = Particle(WavepacketSpec.gaussian(2.0, 1.0),
+                             MassPair(1.0, 1.0))
+
+# Each section's keys with their defaults, whose types the values take.
+_SCHEMA = _sections(ExperimentConfig(particles=(_DEFAULT_PARTICLE,)))
+_SCHEMA["particle"] = _SCHEMA.pop("particle1")
+
+# Default experiment: an even cat against a width-matched Gaussian released
+# from the same height at rest; matched trivially, with distinguishable
+# arrival spreads. Works for every subcommand.
+DEFAULT_CONFIG_TEXT = _render(ExperimentConfig(particles=(
+    Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(1.0, 1.0)),
+    _DEFAULT_PARTICLE)))
+
+
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
+             "false": False, "no": False, "0": False, "off": False}
+
+# Value type -> (what the error message says was expected, reader).
+_READERS = {
+    bool: ("a boolean", lambda text: _BOOLEANS[text.lower()]),
+    int: ("an integer", int),
+    float: ("a number", _number),
+    str: ("text", str),
+}
 
 
 class _Raw:
@@ -112,6 +122,29 @@ class _Raw:
         entry = self.sections.get(section, {}).get(key)
         return None if entry is None else entry[1]
 
+    def values(self, section: str, defaults: dict) -> dict:
+        """Every key of `defaults`, read from `section` as its default's type
+        (a tuple default: comma-separated items of its first item's type)."""
+        return {key: self._value(section, key, default)
+                for key, default in defaults.items()}
+
+    def _value(self, section, key, default):
+        text = self.get(section, key)
+        if text is None:
+            return default
+        listed = isinstance(default, tuple)
+        kind = type(default[0]) if listed else type(default)
+        expected, read = _READERS[kind]
+        try:
+            if listed:
+                items = (item.strip() for item in text.split(","))
+                return tuple(read(item) for item in items
+                             if item or kind is not str)
+            return read(text)
+        except (KeyError, ValueError):
+            raise ParseError(f"expected {expected}, got {text!r}", key=key,
+                             line=self.line(section, key)) from None
+
 
 def _scan(text: str, strict: bool) -> _Raw:
     raw = _Raw()
@@ -124,8 +157,8 @@ def _scan(text: str, strict: bool) -> _Raw:
         if header:
             section = header.group(1)
             family = "particle" if _PARTICLE_RE.match(section) else section
-            if family not in _KNOWN_KEYS and strict:
-                hint = difflib.get_close_matches(section, _KNOWN_KEYS, n=1)
+            if family not in _SCHEMA and strict:
+                hint = difflib.get_close_matches(section, _SCHEMA, n=1)
                 extra = f"; did you mean '[{hint[0]}]'?" if hint else ""
                 raise ParseError(f"unknown section '{section}'{extra}",
                                  line=lineno)
@@ -138,7 +171,7 @@ def _scan(text: str, strict: bool) -> _Raw:
             raise ParseError("key before any [section] header", line=lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
         family = "particle" if _PARTICLE_RE.match(section) else section
-        known = _KNOWN_KEYS.get(family)
+        known = _SCHEMA.get(family)
         if known is not None and key not in known:
             if strict:
                 hint = difflib.get_close_matches(key, known, n=1)
@@ -150,85 +183,26 @@ def _scan(text: str, strict: bool) -> _Raw:
     return raw
 
 
-def _float(raw: _Raw, section, key, default):
-    value = raw.get(section, key)
-    if value is None:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"expected a number, got {value!r}",
-                         key=key, line=raw.line(section, key)) from None
-
-
-def _int(raw: _Raw, section, key, default):
-    value = raw.get(section, key)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {value!r}",
-                         key=key, line=raw.line(section, key)) from None
-
-
-def _bool(raw: _Raw, section, key, default):
-    value = raw.get(section, key)
-    if value is None:
-        return default
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ParseError(f"expected a boolean, got {value!r}",
-                     key=key, line=raw.line(section, key))
-
-
-def _float_list(raw: _Raw, section, key, default):
-    value = raw.get(section, key)
-    if value is None:
-        return default
-    try:
-        return tuple(float(v) for v in value.split(","))
-    except ValueError:
-        raise ParseError(f"expected comma-separated numbers, got {value!r}",
-                         key=key, line=raw.line(section, key)) from None
-
-
-def _word_list(raw: _Raw, section, key, default):
-    value = raw.get(section, key)
-    if value is None:
-        return default
-    return tuple(word.strip() for word in value.split(",") if word.strip())
-
-
 def _particle(raw: _Raw, section: str) -> Particle:
-    kind = raw.get(section, "kind", "gaussian").lower()
+    kind = raw.get(section, "kind", GAUSSIAN).lower()
     if kind not in _KNOWN_KINDS:
         hint = difflib.get_close_matches(kind, _KNOWN_KINDS, n=1)
         extra = f"; did you mean '{hint[0]}'?" if hint else ""
         raise ParseError(f"unknown state kind '{kind}'{extra}",
                          key="kind", line=raw.line(section, "kind"))
-    z0 = _float(raw, section, "z0", 2.0)
-    delta = _float(raw, section, "delta", 0.0 if kind == "gaussian" else 1.0)
-    delta0 = _float(raw, section, "delta0", 1.0)
-    if delta0 <= 0:
-        raise ParseError("delta0 must be positive",
-                         key="delta0", line=raw.line(section, "delta0"))
+    defaults = dict(_SCHEMA["particle"])
+    # The defaults a Gaussian record cannot state: two peaks default to a
+    # unit half-separation, and a general cat to c+ = c- = 1.
+    if kind != GAUSSIAN:
+        defaults["delta"] = 1.0
+    if kind == CAT:
+        defaults["c_minus_re"] = 1.0
+    values = dict(raw.values(section, defaults), kind=kind)
     try:
-        if kind == "cat":
-            c_plus = complex(_float(raw, section, "c_plus_re", 1.0),
-                             _float(raw, section, "c_plus_im", 0.0))
-            c_minus = complex(_float(raw, section, "c_minus_re", 1.0),
-                              _float(raw, section, "c_minus_im", 0.0))
-            spec = WavepacketSpec.cat(z0, delta, delta0, c_plus, c_minus)
-        elif kind == "gaussian":
-            spec = WavepacketSpec.gaussian(z0, delta0)
-        else:
-            spec = STATE_FAMILIES[kind](z0, delta, delta0)
-        mass = MassPair(_float(raw, section, "m_inertial", 1.0),
-                        _float(raw, section, "m_gravitational", 1.0))
+        spec = (WavepacketSpec.from_record(values) if kind == CAT else
+                STATE_FAMILIES[kind](values["z0"], values["delta"],
+                                     values["delta0"]))
+        mass = MassPair(values["m_inertial"], values["m_gravitational"])
     except ConfigurationError as exc:
         raise ParseError(str(exc), key=section) from exc
     return Particle(spec, mass)
@@ -242,70 +216,28 @@ def parse_config_text(text: str, strict: bool = False) -> ExperimentConfig:
     """
     raw = _scan(text, strict)
 
-    try:
-        unit = UnitSystem(
-            hbar=_float(raw, "units", "hbar", 1.0),
-            g=_float(raw, "units", "g", 1.0),
-            m_ref=_float(raw, "units", "m_ref", 1.0),
-            delta0_ref=_float(raw, "units", "delta0_ref", 1.0),
-        )
-    except ConfigurationError as exc:
-        raise ParseError(str(exc), key="units") from exc
+    settings = {}
+    for name, settings_type in _SETTINGS.items():
+        values = raw.values(name, _SCHEMA[name])
+        try:
+            settings[name] = settings_type(**values)
+        except ConfigurationError as exc:
+            raise ParseError(str(exc), key=name) from exc
 
     labels = sorted((s for s in raw.sections if _PARTICLE_RE.match(s)),
                     key=lambda s: int(_PARTICLE_RE.match(s).group(1)))
-    if labels:
-        particles = tuple(_particle(raw, label) for label in labels)
-    else:
-        particles = (Particle(WavepacketSpec.gaussian(2.0, 1.0),
-                              MassPair(1.0, 1.0)),)
+    particles = (tuple(_particle(raw, label) for label in labels)
+                 or (_DEFAULT_PARTICLE,))
 
-    grid = GridSettings(
-        auto=_bool(raw, "grid", "auto", True),
-        z_min=_float(raw, "grid", "z_min", -80.0),
-        z_max=_float(raw, "grid", "z_max", 20.0),
-        n_points=_int(raw, "grid", "n_points", 8192),
-        max_points=_int(raw, "grid", "max_points", 2**16),
-    )
+    unit = settings.pop("units")
+    # The field strength defaults to the gravitational acceleration g.
+    experiment = raw.values("experiment", dict(_SCHEMA["experiment"],
+                                               field_strength=unit.g))
+    output = raw.values("output", _SCHEMA["output"])
     try:
-        solver = SolverSettings(
-            time_steps=_int(raw, "solver", "time_steps", 4096),
-            record_stride=_int(raw, "solver", "record_stride", 1),
-            snapshot_stride=_int(raw, "solver", "snapshot_stride", 0),
-            window_sigmas=_float(raw, "solver", "window_sigmas", 8.0),
-        )
-    except ConfigurationError as exc:
-        raise ParseError(str(exc), key="solver") from exc
-    sweep = SweepSettings(
-        m_g_values=_float_list(raw, "sweep", "m_g_values",
-                               (1.0, 2.0, 4.0, 8.0, 16.0)),
-        ratio_values=_float_list(raw, "sweep", "ratio_values",
-                                 (1.0, 1.78, 3.16, 5.62, 10.0)),
-        state_kinds=_word_list(raw, "sweep", "state_kinds",
-                               ("gaussian", "male", "female", "yurke_stoler")),
-    )
-    for kind in sweep.state_kinds:
-        if kind not in STATE_FAMILIES:
-            raise ParseError(f"unknown sweep state kind '{kind}'",
-                             key="state_kinds",
-                             line=raw.line("sweep", "state_kinds"))
-
-    try:
-        return ExperimentConfig(
-            particles=particles,
-            unit=unit,
-            field_strength=_float(raw, "experiment", "field_strength", unit.g),
-            accel_factor=_float(raw, "experiment", "accel_factor", 2.0),
-            z_detector=_float(raw, "experiment", "z_detector", 0.0),
-            grid=grid,
-            solver=solver,
-            sweep=sweep,
-            auto_match=_bool(raw, "experiment", "auto_match", False),
-            match_tol=_float(raw, "experiment", "match_tol", 1e-6),
-            threads=_int(raw, "output", "threads", 1),
-            seed=_int(raw, "output", "seed", 0),
-            output_dir=raw.get("output", "dir", "out"),
-        )
+        return ExperimentConfig(particles=particles, unit=unit, **settings,
+                                **experiment, output_dir=output["dir"],
+                                threads=output["threads"])
     except ConfigurationError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +103,10 @@ class SolverSettings:
             raise ConfigurationError("time_steps must be at least 16")
         if self.record_stride < 1:
             raise ConfigurationError("record_stride must be >= 1")
+        if self.snapshot_stride < 0:
+            raise ConfigurationError("snapshot_stride must be >= 0")
+        if not self.window_sigmas > 0:
+            raise ConfigurationError("window_sigmas must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,18 @@ class SweepSettings:
     m_g_values: tuple = (1.0, 2.0, 4.0, 8.0, 16.0)
     ratio_values: tuple = (1.0, 1.78, 3.16, 5.62, 10.0)
     state_kinds: tuple = ("gaussian", "male", "female", "yurke_stoler")
+
+    def __post_init__(self):
+        for kind in self.state_kinds:
+            if kind not in STATE_FAMILIES:
+                raise ConfigurationError(f"unknown sweep state kind '{kind}'")
+
+
+# The canonical record's [units] keys (the SI scale factors stay out) and its
+# top-level [experiment] keys.
+_UNIT_KEYS = ("hbar", "g", "m_ref", "delta0_ref")
+_EXPERIMENT_KEYS = ("field_strength", "accel_factor", "z_detector",
+                    "auto_match", "match_tol")
 
 
 @dataclass(frozen=True)
@@ -127,7 +143,6 @@ class ExperimentConfig:
     auto_match: bool = False
     match_tol: float = 1e-6
     threads: int = 1
-    seed: int = 0
     output_dir: str = "out"
     snapshot_format: str = "csv"
 
@@ -138,41 +153,17 @@ class ExperimentConfig:
             raise ConfigurationError("field strength must be positive")
 
     def canonical_record(self) -> dict:
-        rec = {
-            "field_strength": self.field_strength,
-            "accel_factor": self.accel_factor,
-            "z_detector": self.z_detector,
-            "auto_match": self.auto_match,
-            "match_tol": self.match_tol,
-            "seed": self.seed,
-            "units": {
-                "hbar": self.unit.hbar, "g": self.unit.g,
-                "m_ref": self.unit.m_ref, "delta0_ref": self.unit.delta0_ref,
-            },
-            "grid": {
-                "auto": self.grid.auto, "z_min": self.grid.z_min,
-                "z_max": self.grid.z_max, "n_points": self.grid.n_points,
-                "max_points": self.grid.max_points,
-            },
-            "solver": {
-                "time_steps": self.solver.time_steps,
-                "record_stride": self.solver.record_stride,
-                "snapshot_stride": self.solver.snapshot_stride,
-                "window_sigmas": self.solver.window_sigmas,
-            },
-            "sweep": {
-                "m_g_values": list(self.sweep.m_g_values),
-                "ratio_values": list(self.sweep.ratio_values),
-                "state_kinds": list(self.sweep.state_kinds),
-            },
-            "particles": [
-                dict(p.spec.to_record(),
-                     m_inertial=p.mass.m_inertial,
-                     m_gravitational=p.mass.m_gravitational)
-                for p in self.particles
-            ],
+        """The config as plain data: the digest's input, the manifest's
+        ``config``, and the key set and defaults `qfall.config` parses."""
+        return {
+            **{key: getattr(self, key) for key in _EXPERIMENT_KEYS},
+            "units": {key: getattr(self.unit, key) for key in _UNIT_KEYS},
+            "grid": asdict(self.grid),
+            "solver": asdict(self.solver),
+            "sweep": asdict(self.sweep),
+            "particles": [dict(p.spec.to_record(), **asdict(p.mass))
+                          for p in self.particles],
         }
-        return rec
 
     def digest(self) -> str:
         text = json.dumps(self.canonical_record(), sort_keys=True)

@@ -210,6 +210,13 @@ def test_sweep_rejects_narrow_axes():
         run_mass_sweep(config)
 
 
+def test_sweep_rejects_unknown_state_kind():
+    with pytest.raises(ConfigurationError, match="unknown sweep state kind"):
+        run_mass_sweep(ExperimentConfig(
+            particles=(gaussian_particle(),),
+            sweep=SweepSettings(state_kinds=("gausian",))))
+
+
 def test_sweep_reproducible_to_the_byte(tmp_path):
     outputs = []
     for sub in ("a", "b"):
@@ -303,6 +310,16 @@ def test_digest_stability_and_sensitivity():
 def test_config_requires_particles():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(particles=())
+
+
+@pytest.mark.parametrize("key,value", [
+    ("snapshot_stride", -3),
+    ("window_sigmas", 0.0),
+    ("window_sigmas", -1.0),
+])
+def test_solver_settings_reject_out_of_range(key, value):
+    with pytest.raises(ConfigurationError, match=key):
+        SolverSettings(**{key: value})
 
 
 def test_explicit_grid_settings_used():
