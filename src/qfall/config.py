@@ -34,8 +34,16 @@ __all__ = ["parse_config", "parse_config_text", "DEFAULT_CONFIG_TEXT"]
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_]+)\]$")
 _PARTICLE_RE = re.compile(r"^particle(\d+)$")
+# A comment starts at a '#' or ';' that opens the line or follows whitespace,
+# so one inside a value (`dir = runs;2`) stays part of it.
+_COMMENT_RE = re.compile(r"(?:^|\s)[#;]")
 
 _KNOWN_KINDS = (CAT, *STATE_FAMILIES)
+# The particle keys each kind does not read: the coefficients are the general
+# cat's alone, and a Gaussian has no half-separation.
+_COEFFICIENTS = ("c_plus_re", "c_plus_im", "c_minus_re", "c_minus_im")
+_UNREAD = {**dict.fromkeys(STATE_FAMILIES, _COEFFICIENTS), CAT: (),
+           GAUSSIAN: ("delta", *_COEFFICIENTS)}
 
 # The section each settings dataclass is read from.
 _SETTINGS = {"units": UnitSystem, "grid": GridSettings,
@@ -65,11 +73,13 @@ def _text(value) -> str:
 
 
 def _render(config: ExperimentConfig) -> str:
-    """Config text listing every key, which parses back to `config`
-    (whose snapshot format, a command-line choice, it leaves out)."""
+    """Config text listing every key that `config` reads (a particle only
+    those of its kind), which parses back to `config` (whose snapshot
+    format, a command-line choice, it leaves out)."""
     return "\n".join(
-        f"[{name}]\n" + "".join(f"{key} = {_text(value)}\n"
-                                for key, value in values.items())
+        f"[{name}]\n" + "".join(
+            f"{key} = {_text(value)}\n" for key, value in values.items()
+            if key not in _UNREAD.get(values.get("kind"), ()))
         for name, values in _sections(config).items())
 
 
@@ -150,7 +160,7 @@ def _scan(text: str, strict: bool) -> _Raw:
     raw = _Raw()
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].split(";", 1)[0].strip()
+        stripped = _COMMENT_RE.split(line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         header = _SECTION_RE.match(stripped)
@@ -183,13 +193,17 @@ def _scan(text: str, strict: bool) -> _Raw:
     return raw
 
 
-def _particle(raw: _Raw, section: str) -> Particle:
+def _particle(raw: _Raw, section: str, strict: bool) -> Particle:
     kind = raw.get(section, "kind", GAUSSIAN).lower()
     if kind not in _KNOWN_KINDS:
         hint = difflib.get_close_matches(kind, _KNOWN_KINDS, n=1)
         extra = f"; did you mean '{hint[0]}'?" if hint else ""
         raise ParseError(f"unknown state kind '{kind}'{extra}",
                          key="kind", line=raw.line(section, "kind"))
+    unread = [key for key in _UNREAD[kind] if raw.get(section, key) is not None]
+    if strict and unread:
+        raise ParseError(f"kind '{kind}' does not read '{unread[0]}'",
+                         key=unread[0], line=raw.line(section, unread[0]))
     defaults = dict(_SCHEMA["particle"])
     # The defaults a Gaussian record cannot state: two peaks default to a
     # unit half-separation, and a general cat to c+ = c- = 1.
@@ -226,7 +240,7 @@ def parse_config_text(text: str, strict: bool = False) -> ExperimentConfig:
 
     labels = sorted((s for s in raw.sections if _PARTICLE_RE.match(s)),
                     key=lambda s: int(_PARTICLE_RE.match(s).group(1)))
-    particles = (tuple(_particle(raw, label) for label in labels)
+    particles = (tuple(_particle(raw, label, strict) for label in labels)
                  or (_DEFAULT_PARTICLE,))
 
     unit = settings.pop("units")

@@ -14,7 +14,7 @@ Engines:
   extended Galilean transform: free spectral evolution, a coordinate
   shift by the classical drop, and a linear momentum-kick phase;
 * a Strang split-operator spectral solver (`split_step_evolve`) with fused
-  half kicks: one transform pair per step and one more per record.
+  half kicks: one transform pair per step, and none more per record.
 
 For a linear potential the Strang commutator defect is a c-number, so the
 split solution differs from the exact one by a pure global phase
@@ -108,14 +108,16 @@ class LinearPotentialParams:
 class EvolutionResult:
     """Strided record of a split-operator run.
 
-    `times`, `moments`, `norms` and (optionally) `probe_current` share one
-    stride; `snapshot_fields` are stored on their own coarser stride. The
-    final field is always kept.
+    `times`, `mean_z`, `norms` and (optionally) `probe_current` share one
+    stride, `snapshot_fields` their own coarser one. The full moments are
+    kept at release and at the last step, and the final field always.
     """
 
     times: np.ndarray
-    moments: list[MomentSet]
+    mean_z: np.ndarray
     norms: np.ndarray
+    initial_moments: MomentSet
+    final_moments: MomentSet
     final_field: GridField
     params: LinearPotentialParams
     dt: float
@@ -123,12 +125,6 @@ class EvolutionResult:
     probe_current: np.ndarray | None = None
     snapshot_times: np.ndarray | None = None
     snapshot_fields: list[GridField] | None = field(default=None, repr=False)
-
-    def mean_positions(self) -> np.ndarray:
-        return np.array([m.mean_z for m in self.moments])
-
-    def mean_momenta(self) -> np.ndarray:
-        return np.array([m.mean_p for m in self.moments])
 
 
 def moment_evolution(m0: MomentSet, params: LinearPotentialParams,
@@ -212,11 +208,12 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
     the returned psi (final field and snapshots). Every factor is a pure
     phase, so the norm is conserved to roundoff.
 
-    Moments, norms and (optionally) the current at `probe_z` are recorded
+    The norm, <z> and (optionally) the current at `probe_z` are recorded
     every `record_stride` steps from chi and the spectrum the step already
-    holds; psi is chi boosted by -F dt / 2, which shifts <p> and adds
-    -(F dt / 2 m) |chi(z_d)|^2 to the current. The spectral derivative for
-    cov_zp is a record's one extra transform. Snapshots are kept every
+    holds, with no transform; psi is chi boosted by -F dt / 2, which adds
+    -(F dt / 2 m) |chi(z_d)|^2 to the current. The full moment sets, whose
+    cov_zp costs an inverse transform, are taken at step 0 and at the last
+    step, with <p> shifted by the same boost. Snapshots are kept every
     `snapshot_stride` steps, rounded to the record stride (0 = none).
     Negative dt runs the inverse evolution, used for reversibility checks.
 
@@ -234,7 +231,7 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
     grid = initial.grid
     hbar = unit.hbar
     mi = params.mass.m_inertial
-    z = grid.points
+    z, dz = grid.points, grid.spacing
 
     m0 = numeric_moments(initial, unit)
     p_reach = abs(m0.mean_p) + params.force * abs(dt) * n_steps \
@@ -260,7 +257,7 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
         snapshot_stride = max(1, snapshot_stride // record_stride) * record_stride
 
     times: list[float] = []
-    moments: list[MomentSet] = []
+    mean_z: list[float] = []
     norms: list[float] = []
     currents = [] if probe_z is not None else None
     snap_times: list[float] = []
@@ -268,12 +265,13 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
 
     chi = initial.amplitudes / half_kick
     spectrum = np.fft.fft(chi)
+    initial_moments = spectral_moments(chi, spectrum, grid, hbar, p_shift)[0]
 
     def record(step: int):
-        mom, total = spectral_moments(chi, spectrum, grid, hbar, p_shift)
+        # the same quadratures as spectral_moments, without its transform
         times.append(step * dt)
-        moments.append(mom)
-        norms.append(math.sqrt(total))
+        norms.append(math.sqrt(float(np.vdot(chi, chi).real) * dz))
+        mean_z.append(float(np.vdot(chi, z * chi).real) * dz)
         if currents is not None:
             currents.append(probe_current(weights, spectrum, hbar, mi, p_shift))
         if snapshot_stride and step % snapshot_stride == 0:
@@ -287,7 +285,7 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
         spectrum *= kinetic
         np.fft.ifft(spectrum, out=chi)
         edge = chi[edges]
-        edge_prob = float(np.vdot(edge, edge).real) * grid.spacing
+        edge_prob = float(np.vdot(edge, edge).real) * dz
         if edge_prob > boundary_tol:
             raise BoundaryBreachError(
                 f"probability {edge_prob:.3e} reached the domain edge", step)
@@ -296,8 +294,10 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
 
     return EvolutionResult(
         times=np.array(times),
-        moments=moments,
+        mean_z=np.array(mean_z),
         norms=np.array(norms),
+        initial_moments=initial_moments,
+        final_moments=spectral_moments(chi, spectrum, grid, hbar, p_shift)[0],
         final_field=GridField(grid, half_kick * chi),
         params=params,
         dt=dt,

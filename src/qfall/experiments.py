@@ -252,10 +252,10 @@ def _run_length(spec: WavepacketSpec, params: LinearPotentialParams,
 
 
 def _drop_once(spec: WavepacketSpec, mass: MassPair, mode: str,
-               strength: float, config: ExperimentConfig,
+               strength: float, config: ExperimentConfig, log: _RunLog,
                grid: SpatialGrid | None = None, label: str = ""):
-    """One full split-operator drop with the detector probe; returns the
-    per-run record, the snapshot files written, and the arrival density."""
+    """One full split-operator drop with the detector probe, logged to
+    `log`; returns the per-run record and the arrival density."""
     unit = config.unit
     params = _params_for(mass, mode, strength)
     t_final = _run_length(spec, params, config.z_detector,
@@ -268,9 +268,11 @@ def _drop_once(spec: WavepacketSpec, mass: MassPair, mode: str,
         field0, params, dt, config.solver.time_steps,
         snapshot_stride=config.solver.snapshot_stride, unit=unit,
         probe_z=config.z_detector, record_stride=config.solver.record_stride)
-    snapshots = _dump(result, config, f"{label}_{mode}" if label else mode)
+    name = f"{label}_{mode}" if label else mode
+    log.solved(result, config, name)
     dist = current_tof_distribution(result, params, config.z_detector, unit,
                                     config.solver.window_sigmas)
+    log.arrived(dist, name)
     t_ehr = ehrenfest_tof(spec, params, config.z_detector, unit)
     sigma_full, sigma_asym = semiclassical_sigma_tof(
         spec, params, config.z_detector, unit)
@@ -294,17 +296,42 @@ def _drop_once(spec: WavepacketSpec, mass: MassPair, mode: str,
         "dt": dt,
         "grid_points": grid.n_points,
     }
-    return record, snapshots, dist
+    return record, dist
 
 
-def _dump(result, config: ExperimentConfig, name: str) -> list[str]:
-    """Write a run's snapshots to <output_dir>/snapshots/<name>; returns the
-    files written, relative to the output directory."""
-    if not result.snapshot_fields:
-        return []
-    out = Path(config.output_dir)
-    return [path.relative_to(out).as_posix() for path in dump_snapshots(
-        result, out / "snapshots" / name, config.snapshot_format)]
+# The bound on a solver run's norm drift max |1 - norm| (acceptance
+# criterion 7); the split-step solver is unitary, so a larger drift means
+# the run cannot be trusted.
+NORM_DRIFT_TOL = 1e-10
+
+
+@dataclass
+class _RunLog:
+    """What an experiment's runs leave in its manifest: the snapshot files
+    written, relative to the output directory, and the warnings raised."""
+
+    snapshots: list[str] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
+
+    def solved(self, result, config: ExperimentConfig, name: str) -> None:
+        """Write the snapshots of solver run `name` to
+        <output_dir>/snapshots/<name>, and warn on its norm drift."""
+        if result.snapshot_fields:
+            out = Path(config.output_dir)
+            self.snapshots += [
+                path.relative_to(out).as_posix() for path in dump_snapshots(
+                    result, out / "snapshots" / name, config.snapshot_format)]
+        drift = float(np.max(np.abs(result.norms - 1.0)))
+        if drift > NORM_DRIFT_TOL:
+            self.warnings.append(f"{name}: max |1 - norm| = {drift:.3e} "
+                                 f"exceeds {NORM_DRIFT_TOL:g}")
+
+    def arrived(self, dist, name: str) -> None:
+        """Warn when the arrival density `name` has its low-capture flag."""
+        if dist.low_capture_warning:
+            self.warnings.append(
+                f"{name}: the arrival window captured "
+                f"{dist.capture_fraction:.6f} of the downward flux")
 
 
 @dataclass
@@ -369,14 +396,14 @@ def _cell(value) -> str:
     return str(value) if value is not None else ""
 
 
-def _base_manifest(config: ExperimentConfig, snapshots=()) -> dict:
+def _base_manifest(config: ExperimentConfig, log: _RunLog) -> dict:
     return {
         "config": config.canonical_record(),
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "threads": config.threads,
-        "warnings": [],
-        "snapshots": list(snapshots),
+        "warnings": log.warnings,
+        "snapshots": log.snapshots,
     }
 
 
@@ -406,14 +433,13 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
             "preparation")
 
     digest = config.digest()
-    records, dists, distributions, snapshots = [], [], {}, []
+    records, dists, distributions, log = [], [], {}, _RunLog()
     for idx, particle in enumerate((p1, p2), start=1):
-        rec, snaps, dist = _drop_once(particle.spec, particle.mass, GRAVITY,
-                                      config.field_strength, config,
-                                      label=f"particle{idx}")
+        rec, dist = _drop_once(particle.spec, particle.mass, GRAVITY,
+                               config.field_strength, config, log,
+                               label=f"particle{idx}")
         rec["config_digest"] = digest
         records.append(rec)
-        snapshots += snaps
         dists.append(dist)
         distributions[f"particle{idx}"] = dist
 
@@ -441,7 +467,7 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
         "ks_distance": ks,
     }
     return ExperimentReport("drop", digest, records, summary=summary,
-                            manifest=_base_manifest(config, snapshots),
+                            manifest=_base_manifest(config, log),
                             distributions=distributions)
 
 
@@ -462,19 +488,18 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
     records = []
     identity_l1 = []
     control_l1 = None
-    distributions, snapshots = {}, []
+    distributions, log = {}, _RunLog()
     for idx, particle in enumerate(config.particles, start=1):
         grav = _params_for(particle.mass, GRAVITY, config.field_strength)
         t_final = _run_length(particle.spec, grav, config.z_detector,
                               config.solver.window_sigmas, unit)
         grid = _grid_for([(particle.spec, grav)], t_final, config)
-        rec_g, snaps_g, dist_g = _drop_once(
+        rec_g, dist_g = _drop_once(
             particle.spec, particle.mass, GRAVITY, config.field_strength,
-            config, grid, label=f"particle{idx}")
-        rec_a, snaps_a, dist_a = _drop_once(
+            config, log, grid, label=f"particle{idx}")
+        rec_a, dist_a = _drop_once(
             particle.spec, particle.mass, ACCELERATED_FRAME,
-            config.field_strength, config, grid, label=f"particle{idx}")
-        snapshots += snaps_g + snaps_a
+            config.field_strength, config, log, grid, label=f"particle{idx}")
         l1, ks = distribution_distance(dist_g, dist_a)
         identity_l1.append(l1)
         distributions[f"particle{idx}_gravity"] = dist_g
@@ -485,16 +510,15 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
             rec["identity_ks"] = ks
             records.append(rec)
         if idx == 1 and config.accel_factor > 0:
-            rec_c, snaps_c, dist_c = _drop_once(
+            rec_c, dist_c = _drop_once(
                 particle.spec, particle.mass, ACCELERATED_FRAME,
-                config.accel_factor * config.field_strength, config,
+                config.accel_factor * config.field_strength, config, log,
                 label="control")
             rec_c["config_digest"] = digest
             control_l1, _ = distribution_distance(dist_g, dist_c)
             rec_c["identity_l1"] = control_l1
             rec_c["identity_ks"] = float("nan")
             records.append(rec_c)
-            snapshots += snaps_c
             distributions["control"] = dist_c
 
     passed = max(identity_l1) <= 1e-10 and (
@@ -505,7 +529,7 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
         "passed": passed,
     }
     return ExperimentReport("ep_test", digest, records, summary=summary,
-                            manifest=_base_manifest(config, snapshots),
+                            manifest=_base_manifest(config, log),
                             distributions=distributions)
 
 
@@ -575,7 +599,7 @@ def run_mass_sweep(config: ExperimentConfig) -> ExperimentReport:
                 if r["axis"] == "epsilon_vs_state"}
     return ExperimentReport("sweep", digest, records, fits=fits,
                             summary={"epsilons": epsilons},
-                            manifest=_base_manifest(config))
+                            manifest=_base_manifest(config, _RunLog()))
 
 
 def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
@@ -606,7 +630,7 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
     t_final = max(lengths)
     grid = _grid_for([(s, params) for s in specs], t_final, config)
     dt = t_final / config.solver.time_steps
-    snapshots = []
+    log = _RunLog()
 
     def run(s: WavepacketSpec, name: str):
         result = split_step_evolve(
@@ -614,7 +638,7 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
             snapshot_stride=config.solver.snapshot_stride, unit=unit,
             probe_z=config.z_detector,
             record_stride=config.solver.record_stride)
-        snapshots.extend(_dump(result, config, name))
+        log.solved(result, config, name)
         return result
 
     res_pure = run(spec, "pure")
@@ -634,6 +658,8 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
     wide = (0.0, float(np.asarray(res_plus.times)[-1]))
     dist_mixed = distribution_from_current(np.asarray(res_plus.times),
                                            mixed_current, window, wide)
+    log.arrived(dist_pure, "pure")
+    log.arrived(dist_mixed, "mixture")
 
     pure_moments = analytic_moments(spec, unit)
     mixed_moments = mixture_moments(spec, unit)
@@ -663,6 +689,6 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
             abs(dist_pure.mean_t - dist_mixed.mean_t) > 5.0 * solver_tol,
     }
     return ExperimentReport("decohere", digest, records, summary=summary,
-                            manifest=_base_manifest(config, snapshots),
+                            manifest=_base_manifest(config, log),
                             distributions={"pure": dist_pure,
                                            "mixture": dist_mixed})

@@ -163,7 +163,7 @@ def mean_crossing_time(result: EvolutionResult, z_detector: float) -> float:
     parabola in time.
     """
     t = np.asarray(result.times)
-    offset = result.mean_positions() - z_detector
+    offset = result.mean_z - z_detector
     below = np.nonzero(offset <= 0.0)[0]
     if len(below) == 0 or below[0] == 0:
         raise NoCrossingError("recorded mean trajectory never crosses the "
@@ -287,7 +287,7 @@ def current_tof_distribution(result: EvolutionResult,
     the detector or dense field snapshots to derive it from.
     """
     times, current = _current_samples(result, z_detector, unit)
-    m0 = result.moments[0]
+    m0 = result.initial_moments
     t_cross = crossing_time_from_moments(m0, params, z_detector)
     m_final = moment_evolution(m0, params, t_cross)
     v_final = abs(m_final.mean_p) / params.mass.m_inertial

@@ -110,6 +110,33 @@ def test_defaults_that_depend_on_other_values():
     assert config.particles[1].spec == WavepacketSpec.male_cat(2.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("[output]\ndir = runs;2\n", "runs;2"),
+    ("[output]\ndir = out ; note\n", "out"),
+    ("# first\n[output]\n; second\n  # third\ndir = runs#2\n", "runs#2"),
+])
+def test_comment_starts_at_line_start_or_after_whitespace(text, expected):
+    assert parse_config_text(text, strict=True).output_dir == expected
+
+
+def test_inline_comment_after_a_number():
+    config = parse_config_text("[particle1]\nz0 = 2.5 ; note\n", strict=True)
+    assert config.particles[0].spec.z0 == 2.5
+
+
+@pytest.mark.parametrize("kind,key", [("male", "c_plus_re"),
+                                      ("gaussian", "delta"),
+                                      ("gaussian", "c_minus_im")])
+def test_strict_rejects_a_key_the_kind_does_not_read(kind, key):
+    read = f"[particle1]\nkind = {kind}\nz0 = 2.5\n"
+    text = read + f"{key} = 5\n"
+    with pytest.raises(ParseError, match=f"kind '{kind}' does not read") \
+            as excinfo:
+        parse_config_text(text, strict=True)
+    assert (excinfo.value.key, excinfo.value.line) == (key, 4)
+    assert parse_config_text(text) == parse_config_text(read, strict=True)
+
+
 @st.composite
 def particles(draw):
     kind = draw(st.sampled_from(("cat", *STATE_FAMILIES)))

@@ -134,7 +134,7 @@ def test_free_split_step_matches_spreading_law():
     grid = make_grid(-40.0, 40.0, 2048)
     res = split_step_evolve(build_wavefunction(spec, grid), params_g(g=0.0),
                             2.0 / 512, 512, record_stride=512)
-    assert abs(res.moments[-1].var_z - (0.5 + 0.5 * 4.0)) <= 1e-8
+    assert abs(res.final_moments.var_z - (0.5 + 0.5 * 4.0)) <= 1e-8
 
 
 def test_single_step_reversibility():
@@ -189,11 +189,14 @@ def test_split_step_tracks_ehrenfest():
     params = params_g()
     m0 = analytic_moments(spec)
     res = split_step_evolve(build_wavefunction(spec, grid), params,
-                            2.0 / 1024, 1024, record_stride=128)
-    for t, mom in zip(res.times, res.moments):
+                            2.0 / 1024, 1024, snapshot_stride=128,
+                            record_stride=128)
+    assert np.array_equal(res.snapshot_times, res.times)
+    for t, mean_z, fld in zip(res.times, res.mean_z, res.snapshot_fields):
         ref = moment_evolution(m0, params, float(t))
-        assert abs(mom.mean_z - ref.mean_z) <= 1e-6 * max(1.0, abs(ref.mean_z))
-        assert abs(mom.mean_p - ref.mean_p) <= 1e-6 * max(1.0, abs(ref.mean_p))
+        mean_p = numeric_moments(fld).mean_p
+        assert abs(mean_z - ref.mean_z) <= 1e-6 * max(1.0, abs(ref.mean_z))
+        assert abs(mean_p - ref.mean_p) <= 1e-6 * max(1.0, abs(ref.mean_p))
 
 
 def test_numeric_variance_independent_of_field_strength():
@@ -202,7 +205,8 @@ def test_numeric_variance_independent_of_field_strength():
     field0 = build_wavefunction(spec, grid)
     runs = [split_step_evolve(field0, params_g(g=g), 0.001, 800,
                               record_stride=800) for g in (1.0, 2.0)]
-    assert abs(runs[0].moments[-1].var_z - runs[1].moments[-1].var_z) <= 1e-10
+    assert abs(runs[0].final_moments.var_z
+               - runs[1].final_moments.var_z) <= 1e-10
 
 
 def test_boundary_guard_trips_with_step_index():
@@ -247,13 +251,35 @@ def test_snapshot_dumps(tmp_path):
         dump_snapshots(res, tmp_path, fmt="hdf5")
 
 
+def test_record_costs_no_transform(monkeypatch):
+    """Each step is one transform pair. On top of them a run takes the
+    initial field's moments for its Nyquist check (a pair), the initial
+    spectrum, and the inverse transform of each of its two full moment
+    sets, however often it records."""
+    spec = WavepacketSpec.male_cat(0.0, 1.0, 1.0)
+    grid = grid_for(spec, 512)
+    field0 = build_wavefunction(spec, grid)
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        def counted(*args, name=name, transform=getattr(np.fft, name),
+                    **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    n_steps = 40
+    split_step_evolve(field0, params_g(), 0.004, n_steps, record_stride=1,
+                      probe_z=float(grid.points[grid.n_points // 2]))
+    assert calls == {"fft": n_steps + 2, "ifft": n_steps + 3}
+
+
 # --- the record against its snapshots -----------------------------------------
 
 def assert_record_matches_snapshots(spec, mass, record_stride, n_steps=64,
                                     dt=0.004):
-    """Every record of a run (moments, norm, detector current) must equal
-    what its snapshot of psi gives; the solver takes them from the boosted
-    spectrum instead, so a wrong boost sign fails here."""
+    """Every record of a run (norm, <z>, detector current), and the full
+    moment sets at release and at the end, must equal what the snapshots of
+    psi give; the solver takes them from the boosted chi and its spectrum
+    instead, so a wrong boost sign fails here."""
     grid = grid_for(spec, 1024)
     j = grid.n_points // 2  # a grid point near the packet: psi(z_j) = psi_j
     res = split_step_evolve(build_wavefunction(spec, grid),
@@ -261,14 +287,18 @@ def assert_record_matches_snapshots(spec, mass, record_stride, n_steps=64,
                             snapshot_stride=record_stride,
                             probe_z=float(grid.points[j]),
                             record_stride=record_stride)
-    assert len(res.snapshot_fields) == len(res.moments) \
+    assert len(res.snapshot_fields) == len(res.mean_z) \
         == n_steps // record_stride + 1
     assert np.array_equal(res.snapshot_times, res.times)
-    for mom, nval, current, fld in zip(res.moments, res.norms,
-                                       res.probe_current, res.snapshot_fields):
+    for mom, fld in ((res.initial_moments, res.snapshot_fields[0]),
+                     (res.final_moments, res.snapshot_fields[-1])):
         ref = numeric_moments(fld)
         for name in ("mean_z", "mean_p", "var_z", "var_p", "cov_zp"):
             assert abs(getattr(mom, name) - getattr(ref, name)) <= 1e-10, name
+    for mean_z, nval, current, fld in zip(res.mean_z, res.norms,
+                                          res.probe_current,
+                                          res.snapshot_fields):
+        assert abs(mean_z - numeric_moments(fld).mean_z) <= 1e-10
         assert abs(nval - norm(fld)) <= 1e-12
         psi = fld.amplitudes
         dpsi = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(psi))

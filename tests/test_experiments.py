@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qfall import (
+    DEFAULT_CONFIG_TEXT,
     GRAVITY,
     ConfigurationError,
     ExperimentConfig,
@@ -20,6 +21,7 @@ from qfall import (
     current_tof_distribution,
     ehrenfest_tof,
     fit_power_law,
+    parse_config_text,
     plan_domain,
     run_decoherence_comparison,
     run_equivalence_test,
@@ -28,6 +30,7 @@ from qfall import (
     semiclassical_sigma_tof,
     split_step_evolve,
 )
+from qfall import experiments, tof
 from conftest import EPS_RATIO
 
 FAST_SOLVER = SolverSettings(time_steps=1024)
@@ -295,6 +298,37 @@ def test_mixture_mean_is_weighted_branch_mean():
 def test_decoherence_requires_cat():
     with pytest.raises(PreconditionError):
         run_decoherence_comparison(config_for([gaussian_particle()]))
+
+
+# --- manifest warnings ------------------------------------------------------------
+
+@pytest.mark.parametrize("runner,particles,norm_runs,capture_runs", [
+    (run_galileo_pair, [gaussian_particle(), gaussian_particle(2.0, 2.0)],
+     ["particle1_gravity", "particle2_gravity"],
+     ["particle1_gravity", "particle2_gravity"]),
+    (run_decoherence_comparison,
+     [Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(1, 1))],
+     ["pure", "branch_plus", "branch_minus"], ["pure", "mixture"]),
+])
+def test_manifest_warns_on_norm_drift_and_low_capture(
+        monkeypatch, runner, particles, norm_runs, capture_runs):
+    def drifting(*args, **kwargs):
+        result = split_step_evolve(*args, **kwargs)
+        result.norms = result.norms + 2e-10
+        return result
+
+    monkeypatch.setattr(experiments, "split_step_evolve", drifting)
+    monkeypatch.setattr(tof, "CAPTURE_THRESHOLD", 2.0)  # no window meets it
+    warnings = runner(config_for(particles)).manifest["warnings"]
+    drift = [w.split(":")[0] for w in warnings if "|1 - norm|" in w]
+    capture = [w.split(":")[0] for w in warnings if "captured" in w]
+    assert (drift, capture) == (norm_runs, capture_runs)
+    assert len(warnings) == len(norm_runs) + len(capture_runs)
+
+
+def test_default_drop_has_no_warnings():
+    report = run_galileo_pair(parse_config_text(DEFAULT_CONFIG_TEXT))
+    assert report.manifest["warnings"] == []
 
 
 # --- config digest ----------------------------------------------------------------
