@@ -46,7 +46,6 @@ from .states import (
 )
 from .prepare import (
     MatchReport,
-    PreparationTarget,
     check_matched,
     match_second_particle,
     velocity_bound,
@@ -65,6 +64,7 @@ from .evolve import (
 )
 from .tof import (
     TofDistribution,
+    crossing_spread,
     crossing_time_from_moments,
     current_tof_distribution,
     distribution_distance,

@@ -34,7 +34,7 @@ class UnitSystem:
 
     ``hbar`` and ``g`` set the action and field-strength scales; ``m_ref``
     and ``delta0_ref`` are the reference mass and reference packet width
-    from which derived scales (velocity, fall time) are built.
+    from which the velocity scale is built.
     """
 
     hbar: float = 1.0
@@ -72,17 +72,6 @@ class UnitSystem:
     def velocity_scale(self) -> float:
         """hbar / (m_ref * delta0_ref), the natural mean-velocity scale."""
         return self.hbar / (self.m_ref * self.delta0_ref)
-
-    def fall_time(self, z0: float, g: float | None = None) -> float:
-        """sqrt(2 z0 / g), the classical drop time from height z0."""
-        g = self.g if g is None else g
-        if g <= 0:
-            raise ConfigurationError("fall time undefined for g <= 0")
-        return math.sqrt(2.0 * z0 / g)
-
-    def diffusion_coefficient(self, mass: float) -> float:
-        """hbar / m, the kinematic spreading scale of a mass m packet."""
-        return self.hbar / mass
 
 
 DEFAULT_UNITS = UnitSystem()

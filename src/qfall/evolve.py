@@ -36,6 +36,7 @@ from .core import (
     SpatialGrid,
     UnitSystem,
     boundary_probability,
+    norm,
 )
 from .errors import (
     BoundaryBreachError,
@@ -44,7 +45,7 @@ from .errors import (
     PreconditionError,
 )
 from .states import (MomentSet, WavepacketSpec, build_wavefunction,
-                     numeric_moments, spectral_moments)
+                     spectral_moments)
 
 __all__ = [
     "GRAVITY",
@@ -217,10 +218,12 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
     `snapshot_stride` steps, rounded to the record stride (0 = none).
     Negative dt runs the inverse evolution, used for reversibility checks.
 
-    Raises :class:`ConfigurationError` if the grid cannot represent the
-    momentum acquired by the end of the run with a factor
-    ``nyquist_margin`` to spare, and :class:`BoundaryBreachError` (with
-    the step index) if probability reaches the domain edges mid-run.
+    Raises :class:`PreconditionError` if the initial field is not unit-norm
+    (to 1e-6), :class:`ConfigurationError` if the grid cannot represent
+    the momentum acquired by the end of the run (from the initial <p> and
+    var_p) with a factor ``nyquist_margin`` to spare, and
+    :class:`BoundaryBreachError` (with the step index) if probability
+    reaches the domain edges mid-run.
     """
     if dt == 0:
         raise PreconditionError("dt must be nonzero")
@@ -228,24 +231,29 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
         raise PreconditionError("n_steps must be nonnegative")
     if record_stride < 1:
         raise PreconditionError("record_stride must be >= 1")
+    nval = norm(initial)
+    if abs(nval - 1.0) > 1e-6:
+        raise PreconditionError(f"field norm is {nval!r}, expected 1")
     grid = initial.grid
     hbar = unit.hbar
     mi = params.mass.m_inertial
     z, dz = grid.points, grid.spacing
-
-    m0 = numeric_moments(initial, unit)
-    p_reach = abs(m0.mean_p) + params.force * abs(dt) * n_steps \
-        + 5.0 * math.sqrt(m0.var_p)
-    if hbar * grid.k_max < nyquist_margin * p_reach:
-        raise ConfigurationError(
-            f"grid resolves momenta up to {hbar * grid.k_max:.4g} but the run "
-            f"acquires {p_reach:.4g} (margin {nyquist_margin}); refine the grid")
 
     half_kick = np.exp(-1j * params.force * z * dt / (2.0 * hbar))
     kick = np.exp(-1j * params.force * z * dt / hbar)
     kinetic = np.exp(-1j * hbar * grid.wavenumbers**2 * dt / (2.0 * mi))
     p_shift = -0.5 * params.force * dt
     edges = np.r_[:BOUNDARY_CELLS, -BOUNDARY_CELLS:0]
+
+    chi = initial.amplitudes / half_kick
+    spectrum = np.fft.fft(chi)
+    initial_moments = spectral_moments(chi, spectrum, grid, hbar, p_shift)
+    p_reach = abs(initial_moments.mean_p) + params.force * abs(dt) * n_steps \
+        + 5.0 * math.sqrt(initial_moments.var_p)
+    if hbar * grid.k_max < nyquist_margin * p_reach:
+        raise ConfigurationError(
+            f"grid resolves momenta up to {hbar * grid.k_max:.4g} but the run "
+            f"acquires {p_reach:.4g} (margin {nyquist_margin}); refine the grid")
 
     weights = None
     if probe_z is not None:
@@ -262,10 +270,6 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
     currents = [] if probe_z is not None else None
     snap_times: list[float] = []
     snaps: list[GridField] = []
-
-    chi = initial.amplitudes / half_kick
-    spectrum = np.fft.fft(chi)
-    initial_moments = spectral_moments(chi, spectrum, grid, hbar, p_shift)[0]
 
     def record(step: int):
         # the same quadratures as spectral_moments, without its transform
@@ -297,7 +301,7 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
         mean_z=np.array(mean_z),
         norms=np.array(norms),
         initial_moments=initial_moments,
-        final_moments=spectral_moments(chi, spectrum, grid, hbar, p_shift)[0],
+        final_moments=spectral_moments(chi, spectrum, grid, hbar, p_shift),
         final_field=GridField(grid, half_kick * chi),
         params=params,
         dt=dt,

@@ -40,6 +40,8 @@ from .states import (
     mixture_moments,
 )
 from .tof import (
+    WINDOW_SIGMAS,
+    crossing_spread,
     current_tof_distribution,
     distribution_distance,
     distribution_from_current,
@@ -96,7 +98,7 @@ class SolverSettings:
     time_steps: int = 4096
     record_stride: int = 1
     snapshot_stride: int = 0
-    window_sigmas: float = 8.0
+    window_sigmas: float = WINDOW_SIGMAS
 
     def __post_init__(self):
         if self.time_steps < 16:
@@ -238,42 +240,43 @@ def _grid_for(entries, t_final, config: ExperimentConfig) -> SpatialGrid:
     return make_grid(config.grid.z_min, config.grid.z_max, config.grid.n_points)
 
 
-def _params_for(mass: MassPair, mode: str, strength: float) -> LinearPotentialParams:
-    return LinearPotentialParams(mass=mass, field_strength=strength, mode=mode)
-
-
 def _run_length(spec: WavepacketSpec, params: LinearPotentialParams,
-                z_detector: float, window_sigmas: float,
-                unit: UnitSystem) -> float:
+                config: ExperimentConfig) -> float:
     """Total simulated time: crossing plus the upper window edge with slack."""
-    t_cross = ehrenfest_tof(spec, params, z_detector, unit)
-    sigma_full, _ = semiclassical_sigma_tof(spec, params, z_detector, unit)
-    return t_cross + 1.08 * window_sigmas * sigma_full
+    t_cross, sigma = crossing_spread(analytic_moments(spec, config.unit),
+                                     params, config.z_detector)
+    return t_cross + 1.08 * config.solver.window_sigmas * sigma
+
+
+def _solve(spec: WavepacketSpec, params: LinearPotentialParams,
+           grid: SpatialGrid, dt: float, config: ExperimentConfig,
+           log: _RunLog, name: str):
+    """One split-operator drop of `spec` with the detector probe, logged to
+    `log` as solver run `name`."""
+    result = split_step_evolve(
+        build_wavefunction(spec, grid), params, dt, config.solver.time_steps,
+        snapshot_stride=config.solver.snapshot_stride, unit=config.unit,
+        probe_z=config.z_detector, record_stride=config.solver.record_stride)
+    log.solved(result, config, name)
+    return result
 
 
 def _drop_once(spec: WavepacketSpec, mass: MassPair, mode: str,
                strength: float, config: ExperimentConfig, log: _RunLog,
                grid: SpatialGrid | None = None, label: str = ""):
-    """One full split-operator drop with the detector probe, logged to
-    `log`; returns the per-run record and the arrival density."""
+    """One full split-operator drop, logged to `log`; returns the per-run
+    record and the arrival density."""
     unit = config.unit
-    params = _params_for(mass, mode, strength)
-    t_final = _run_length(spec, params, config.z_detector,
-                          config.solver.window_sigmas, unit)
+    params = LinearPotentialParams(mass, strength, mode)
+    t_final = _run_length(spec, params, config)
     if grid is None:
         grid = _grid_for([(spec, params)], t_final, config)
     dt = t_final / config.solver.time_steps
-    field0 = build_wavefunction(spec, grid)
-    result = split_step_evolve(
-        field0, params, dt, config.solver.time_steps,
-        snapshot_stride=config.solver.snapshot_stride, unit=unit,
-        probe_z=config.z_detector, record_stride=config.solver.record_stride)
     name = f"{label}_{mode}" if label else mode
-    log.solved(result, config, name)
-    dist = current_tof_distribution(result, params, config.z_detector, unit,
+    result = _solve(spec, params, grid, dt, config, log, name)
+    dist = current_tof_distribution(result, params, config.z_detector,
                                     config.solver.window_sigmas)
     log.arrived(dist, name)
-    t_ehr = ehrenfest_tof(spec, params, config.z_detector, unit)
     sigma_full, sigma_asym = semiclassical_sigma_tof(
         spec, params, config.z_detector, unit)
     record = {
@@ -283,7 +286,7 @@ def _drop_once(spec: WavepacketSpec, mass: MassPair, mode: str,
         "m_gravitational": mass.m_gravitational,
         "state_kind": spec.kind,
         "theta": spec.theta,
-        "t_ehrenfest": t_ehr,
+        "t_ehrenfest": ehrenfest_tof(spec, params, config.z_detector, unit),
         "t_mean_crossing": mean_crossing_time(result, config.z_detector),
         "sigma_full": sigma_full,
         "sigma_asymptotic": sigma_asym,
@@ -490,9 +493,8 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
     control_l1 = None
     distributions, log = {}, _RunLog()
     for idx, particle in enumerate(config.particles, start=1):
-        grav = _params_for(particle.mass, GRAVITY, config.field_strength)
-        t_final = _run_length(particle.spec, grav, config.z_detector,
-                              config.solver.window_sigmas, unit)
+        grav = LinearPotentialParams(particle.mass, config.field_strength)
+        t_final = _run_length(particle.spec, grav, config)
         grid = _grid_for([(particle.spec, grav)], t_final, config)
         rec_g, dist_g = _drop_once(
             particle.spec, particle.mass, GRAVITY, config.field_strength,
@@ -556,14 +558,14 @@ def run_mass_sweep(config: ExperimentConfig) -> ExperimentReport:
 
     def sigma_point(m_g: float) -> dict:
         mass = MassPair(base.mass.m_inertial, m_g)
-        params = _params_for(mass, GRAVITY, config.field_strength)
+        params = LinearPotentialParams(mass, config.field_strength)
         _, sigma_asym = semiclassical_sigma_tof(spec, params,
                                                 config.z_detector, unit)
         return {"axis": "sigma_vs_mg", "x": m_g, "value": sigma_asym}
 
     def ratio_point(ratio: float) -> dict:
         mass = MassPair(ratio, 1.0)
-        params = _params_for(mass, GRAVITY, config.field_strength)
+        params = LinearPotentialParams(mass, config.field_strength)
         t_fall = ehrenfest_tof(spec, params, config.z_detector, unit)
         return {"axis": "tof_vs_ratio", "x": ratio, "value": t_fall}
 
@@ -615,7 +617,7 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
     if spec.kind != CAT:
         raise PreconditionError("decoherence comparison needs a cat state")
     digest = config.digest()
-    params = _params_for(mass, GRAVITY, config.field_strength)
+    params = LinearPotentialParams(mass, config.field_strength)
 
     lo, hi = spec.peak_centers()
     branch_plus = WavepacketSpec.gaussian(lo, spec.delta0)
@@ -625,39 +627,26 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
 
     # Shared clock and domain so branch currents superpose sample by sample.
     specs = [spec, branch_plus, branch_minus]
-    lengths = [_run_length(s, params, config.z_detector,
-                           config.solver.window_sigmas, unit) for s in specs]
-    t_final = max(lengths)
+    t_final = max(_run_length(s, params, config) for s in specs)
     grid = _grid_for([(s, params) for s in specs], t_final, config)
     dt = t_final / config.solver.time_steps
     log = _RunLog()
-
-    def run(s: WavepacketSpec, name: str):
-        result = split_step_evolve(
-            build_wavefunction(s, grid), params, dt, config.solver.time_steps,
-            snapshot_stride=config.solver.snapshot_stride, unit=unit,
-            probe_z=config.z_detector,
-            record_stride=config.solver.record_stride)
-        log.solved(result, config, name)
-        return result
-
-    res_pure = run(spec, "pure")
-    res_plus = run(branch_plus, "branch_plus")
-    res_minus = run(branch_minus, "branch_minus")
+    res_pure, res_plus, res_minus = [
+        _solve(s, params, grid, dt, config, log, name) for s, name in
+        zip(specs, ("pure", "branch_plus", "branch_minus"))]
 
     dist_pure = current_tof_distribution(res_pure, params, config.z_detector,
-                                         unit, config.solver.window_sigmas)
+                                         config.solver.window_sigmas)
     mixed_current = wp * res_plus.probe_current + wm * res_minus.probe_current
-    edges = []
-    for s in (branch_plus, branch_minus):
-        t_b = ehrenfest_tof(s, params, config.z_detector, unit)
-        sig_b, _ = semiclassical_sigma_tof(s, params, config.z_detector, unit)
-        edges.append((t_b - config.solver.window_sigmas * sig_b,
-                      t_b + config.solver.window_sigmas * sig_b))
-    window = (max(0.0, min(e[0] for e in edges)), max(e[1] for e in edges))
-    wide = (0.0, float(np.asarray(res_plus.times)[-1]))
-    dist_mixed = distribution_from_current(np.asarray(res_plus.times),
-                                           mixed_current, window, wide)
+    sigmas = config.solver.window_sigmas
+    edges = [crossing_spread(analytic_moments(s, unit), params,
+                             config.z_detector)
+             for s in (branch_plus, branch_minus)]
+    window = (max(0.0, min(t - sigmas * sig for t, sig in edges)),
+              max(t + sigmas * sig for t, sig in edges))
+    wide = (0.0, float(res_plus.times[-1]))
+    dist_mixed = distribution_from_current(res_plus.times, mixed_current,
+                                           window, wide)
     log.arrived(dist_pure, "pure")
     log.arrived(dist_mixed, "mixture")
 

@@ -18,7 +18,6 @@ from .errors import InfeasibleTargetError
 from .states import GAUSSIAN, WavepacketSpec, analytic_moments, _coefficient_terms
 
 __all__ = [
-    "PreparationTarget",
     "MatchReport",
     "check_matched",
     "match_second_particle",
@@ -28,20 +27,6 @@ __all__ = [
 # Matching iterates position and phase to this relative tolerance.
 _JOINT_TOL = 1e-10
 _MAX_ITERATIONS = 50
-
-
-@dataclass(frozen=True)
-class PreparationTarget:
-    """Mean position and mean velocity a prepared state must reproduce."""
-
-    mean_z: float
-    velocity: float
-
-    @classmethod
-    def from_state(cls, spec: WavepacketSpec, mass: MassPair,
-                   unit: UnitSystem = DEFAULT_UNITS) -> "PreparationTarget":
-        mom = analytic_moments(spec, unit)
-        return cls(mom.mean_z, mom.mean_p / mass.m_inertial)
 
 
 @dataclass(frozen=True)
@@ -128,28 +113,29 @@ def match_second_particle(spec1: WavepacketSpec, mass1: MassPair,
     normalization. Velocities outside the branch's reach raise
     :class:`InfeasibleTargetError` carrying the reachable bound.
     """
-    target = PreparationTarget.from_state(spec1, mass1, unit)
+    mom1 = analytic_moments(spec1, unit)
+    target_z, target_v = mom1.mean_z, mom1.mean_p / mass1.m_inertial
     vel_scale = unit.hbar / (unit.m_ref * family2.delta0)
 
     if family2.kind == GAUSSIAN:
-        if abs(target.velocity) > 1e-12 * vel_scale:
+        if abs(target_v) > 1e-12 * vel_scale:
             raise InfeasibleTargetError(
                 "Gaussian family carries zero mean velocity", v_max=0.0)
-        return WavepacketSpec.gaussian(target.mean_z, family2.delta0)
+        return WavepacketSpec.gaussian(target_z, family2.delta0)
 
     v_max = velocity_bound(family2, mass2, unit)
-    if abs(target.velocity) > v_max * (1.0 + 1e-12):
+    if abs(target_v) > v_max * (1.0 + 1e-12):
         raise InfeasibleTargetError(
-            f"target velocity {target.velocity!r} beyond the reachable branch",
+            f"target velocity {target_v!r} beyond the reachable branch",
             v_max=v_max)
 
-    theta = _solve_theta(family2, mass2, target.velocity, vel_scale, unit)
-    z0 = target.mean_z
+    theta = _solve_theta(family2, mass2, target_v, vel_scale, unit)
+    z0 = target_z
     spec2 = _with_theta(family2, z0, theta)
     for _ in range(_MAX_ITERATIONS):
         mom = analytic_moments(spec2, unit)
-        dz = target.mean_z - mom.mean_z
-        dv = target.velocity - mom.mean_p / mass2.m_inertial
+        dz = target_z - mom.mean_z
+        dv = target_v - mom.mean_p / mass2.m_inertial
         if abs(dz) <= _JOINT_TOL * family2.delta0 and abs(dv) <= _JOINT_TOL * vel_scale:
             break
         z0 += dz

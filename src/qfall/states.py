@@ -175,10 +175,6 @@ class MomentSet:
     var_p: float
     cov_zp: float  # symmetrized <{z - <z>, p - <p>}> / 2
 
-    def uncertainty_product(self) -> float:
-        """var_z * var_p - cov_zp^2, bounded below by (hbar/2)^2."""
-        return self.var_z * self.var_p - self.cov_zp**2
-
 
 def _coefficient_terms(spec: WavepacketSpec):
     """(|c+|^2, |c-|^2, Re c+* c-, Im c+* c-, overlap weight e^{-D^2/D0^2})."""
@@ -271,16 +267,15 @@ def numeric_moments(field: GridField,
     if abs(nval - 1.0) > 1e-6:
         raise PreconditionError(f"field norm is {nval!r}, expected 1")
     psi = field.amplitudes
-    return spectral_moments(psi, np.fft.fft(psi), field.grid, unit.hbar)[0]
+    return spectral_moments(psi, np.fft.fft(psi), field.grid, unit.hbar)
 
 
 def spectral_moments(psi: np.ndarray, psi_k: np.ndarray, grid: SpatialGrid,
-                     hbar: float, p_shift: float = 0.0,
-                     ) -> tuple[MomentSet, float]:
-    """Moments and squared norm of exp(i p_shift z / hbar) psi from the
-    samples `psi` (unit norm) and their spectrum `psi_k`: rectangle rule in
-    z, |psi_k|^2 weights in p, spectral derivative for the covariance. The
-    boost only moves <p>; |psi|^2, var_p and cov_zp are invariant."""
+                     hbar: float, p_shift: float = 0.0) -> MomentSet:
+    """Moments of exp(i p_shift z / hbar) psi from the samples `psi` (unit
+    norm) and their spectrum `psi_k`: rectangle rule in z, |psi_k|^2
+    weights in p, spectral derivative for the covariance. The boost only
+    moves <p>; |psi|^2, var_p and cov_zp are invariant."""
     z, k, dz = grid.points, grid.wavenumbers, grid.spacing
     z_psi = z * psi
     total = float(np.vdot(psi, psi).real) * dz
@@ -294,7 +289,7 @@ def spectral_moments(psi: np.ndarray, psi_k: np.ndarray, grid: SpatialGrid,
     zp_sym = hbar * float(np.vdot(z_psi, np.fft.ifft(k_psi)).real) * dz
     mean_p = hbar * mean_k
     return MomentSet(mean_z, mean_p + p_shift, var_z, var_p,
-                     zp_sym - mean_z * mean_p), total
+                     zp_sym - mean_z * mean_p)
 
 
 def mixture_moments(spec: WavepacketSpec,

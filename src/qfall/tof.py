@@ -4,7 +4,8 @@ Three estimators with increasing quantum content:
 
 * `ehrenfest_tof` - the crossing time of the mean trajectory, the direct
   generalization of the classical fall time sqrt(2 (m_i/m_g) z0 / g);
-* `semiclassical_sigma_tof` - the spread sigma_z(T)/|v_z(T)| and its
+* `semiclassical_sigma_tof` - the spread sigma_z(T)/|v_z(T)| (from
+  `crossing_spread`, shared with the arrival window) and its
   spreading-dominated limit (sqrt(2)/2) eps hbar / (delta0 m_g g), where
   the state enters only through the factor eps = sigma_p / sigma_p(Gaussian);
 * `current_tof_distribution` - the operational arrival-time density built
@@ -16,7 +17,6 @@ Three estimators with increasing quantum content:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,18 +26,17 @@ from .core import DEFAULT_UNITS, UnitSystem
 from .errors import (
     ConfigurationError,
     DegenerateCrossingError,
-    DomainError,
     NoCrossingError,
     PreconditionError,
 )
-from .evolve import (EvolutionResult, LinearPotentialParams, moment_evolution,
-                     probe_current, probe_weights)
+from .evolve import EvolutionResult, LinearPotentialParams, moment_evolution
 from .states import MomentSet, WavepacketSpec, analytic_moments
 
 __all__ = [
     "TofDistribution",
     "ehrenfest_tof",
     "crossing_time_from_moments",
+    "crossing_spread",
     "mean_crossing_time",
     "epsilon_factor",
     "semiclassical_sigma_tof",
@@ -75,30 +74,12 @@ class TofDistribution:
         """CDF on `times` by trapezoid accumulation, 0 at the window start."""
         return _cumtrapz(self.density, self.times)
 
-    def mean_std_by_quadrature(self) -> tuple[float, float]:
-        """Recompute (mean, std) from the stored density; must equal the
-        stored fields bit for bit."""
-        return _density_mean_std(self.times, self.density)
-
-    def summary(self) -> dict:
-        return {
-            "mean_t": self.mean_t,
-            "std_t": self.std_t,
-            "clipped_negativity": self.clipped_negativity,
-            "window": list(self.window),
-        }
-
     def to_csv(self, path):
         cumulative = self.cumulative()
         with open(path, "w") as fh:
             fh.write("t,density,cumulative\n")
             for t, d, c in zip(self.times, self.density, cumulative):
                 fh.write(f"{float(t)!r},{float(d)!r},{float(c)!r}\n")
-
-    def to_summary_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
-            fh.write("\n")
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -141,6 +122,21 @@ def crossing_time_from_moments(m0: MomentSet, params: LinearPotentialParams,
         if t > 0.0:
             return t
     raise NoCrossingError("both crossing roots are nonpositive")
+
+
+def crossing_spread(m0: MomentSet, params: LinearPotentialParams,
+                    z_detector: float) -> tuple[float, float]:
+    """(t_cross, sigma): the mean crossing time of the moments `m0` and the
+    fall-time spread sigma_z(t_cross) / |v_z(t_cross)| there, both from the
+    exact moment propagation. A vanishing crossing velocity raises
+    :class:`DegenerateCrossingError`.
+    """
+    t_cross = crossing_time_from_moments(m0, params, z_detector)
+    m_final = moment_evolution(m0, params, t_cross)
+    v_final = abs(m_final.mean_p) / params.mass.m_inertial
+    if v_final == 0.0:
+        raise DegenerateCrossingError("mean velocity vanishes at the crossing")
+    return t_cross, math.sqrt(m_final.var_z) / v_final
 
 
 def ehrenfest_tof(spec: WavepacketSpec, params: LinearPotentialParams,
@@ -199,17 +195,14 @@ def semiclassical_sigma_tof(spec: WavepacketSpec,
                             ) -> tuple[float, float]:
     """(sigma_full, sigma_asymptotic) spread estimates of the fall time.
 
-    sigma_full = sigma_z(T) / |v_z(T)| from the exact moment propagation;
-    sigma_asymptotic = (sqrt(2)/2) eps hbar / (delta0 * coupling_mass *
-    field_strength) is its spreading-dominated limit and depends on the
-    coupling (gravitational) mass alone, not the inertial one.
+    sigma_full = sigma_z(T) / |v_z(T)| is the `crossing_spread` of the
+    state's analytic moments; sigma_asymptotic = (sqrt(2)/2) eps hbar /
+    (delta0 * coupling_mass * field_strength) is its spreading-dominated
+    limit and depends on the coupling (gravitational) mass alone, not the
+    inertial one.
     """
-    t_fall = ehrenfest_tof(spec, params, z_detector, unit)
-    m_final = moment_evolution(analytic_moments(spec, unit), params, t_fall)
-    v_final = abs(m_final.mean_p) / params.mass.m_inertial
-    if v_final == 0.0:
-        raise DegenerateCrossingError("mean velocity vanishes at the crossing")
-    sigma_full = math.sqrt(m_final.var_z) / v_final
+    _, sigma_full = crossing_spread(analytic_moments(spec, unit), params,
+                                    z_detector)
     eps = epsilon_factor(spec, unit)
     sigma_asym = (math.sqrt(2.0) / 2.0) * eps * unit.hbar / (
         spec.delta0 * params.coupling_mass * params.field_strength)
@@ -275,7 +268,6 @@ def distribution_from_current(times: np.ndarray, current: np.ndarray,
 
 def current_tof_distribution(result: EvolutionResult,
                              params: LinearPotentialParams, z_detector: float,
-                             unit: UnitSystem = DEFAULT_UNITS,
                              window_sigmas: float = WINDOW_SIGMAS,
                              ) -> TofDistribution:
     """Arrival-time density from the probability current at the detector.
@@ -283,45 +275,23 @@ def current_tof_distribution(result: EvolutionResult,
     The window is auto-selected as the predicted mean crossing of the
     recorded initial moments plus/minus ``window_sigmas`` predicted
     spreads (clipped at t = 0; release happens at t = 0 so no flux exists
-    earlier). The run must supply the current: either a per-step probe at
-    the detector or dense field snapshots to derive it from.
+    earlier). The run must carry the current from a per-step probe at the
+    detector (`split_step_evolve(..., probe_z=z_detector)`).
     """
-    times, current = _current_samples(result, z_detector, unit)
-    m0 = result.initial_moments
-    t_cross = crossing_time_from_moments(m0, params, z_detector)
-    m_final = moment_evolution(m0, params, t_cross)
-    v_final = abs(m_final.mean_p) / params.mass.m_inertial
-    if v_final == 0.0:
-        raise DegenerateCrossingError("mean velocity vanishes at the crossing")
-    sigma = math.sqrt(m_final.var_z) / v_final
+    if result.probe_current is None:
+        raise PreconditionError(
+            "run carries no detector probe; rerun with probe_z")
+    dz = result.final_field.grid.spacing
+    if abs(result.probe_z - z_detector) > 0.5 * dz:
+        raise PreconditionError(
+            f"run probed the current at {result.probe_z}, not at {z_detector}")
+    t_cross, sigma = crossing_spread(result.initial_moments, params,
+                                     z_detector)
     window = (max(0.0, t_cross - window_sigmas * sigma),
               t_cross + window_sigmas * sigma)
     wide = (t_cross - EXTENDED_SIGMAS * sigma, t_cross + EXTENDED_SIGMAS * sigma)
-    return distribution_from_current(times, current, window, wide)
-
-
-def _current_samples(result: EvolutionResult, z_detector: float,
-                     unit: UnitSystem) -> tuple[np.ndarray, np.ndarray]:
-    if result.probe_current is not None and result.probe_z is not None:
-        dz = result.final_field.grid.spacing
-        if abs(result.probe_z - z_detector) > 0.5 * dz:
-            raise PreconditionError(
-                f"run probed the current at {result.probe_z}, not at "
-                f"{z_detector}")
-        return np.asarray(result.times), result.probe_current
-    if result.snapshot_fields:
-        hbar = unit.hbar
-        mi = result.params.mass.m_inertial
-        grid = result.snapshot_fields[0].grid
-        if not (grid.z_min <= z_detector < grid.z_max):
-            raise DomainError(f"detector at {z_detector} outside the domain")
-        weights = probe_weights(grid, z_detector)
-        vals = [probe_current(weights, np.fft.fft(fld.amplitudes), hbar, mi)
-                for fld in result.snapshot_fields]
-        return np.asarray(result.snapshot_times), np.array(vals)
-    raise PreconditionError(
-        "run carries neither a detector probe nor field snapshots; rerun "
-        "with probe_z or snapshot_stride")
+    return distribution_from_current(result.times, result.probe_current,
+                                     window, wide)
 
 
 def distribution_distance(d1: TofDistribution, d2: TofDistribution,

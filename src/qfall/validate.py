@@ -150,7 +150,7 @@ def check_ep_identity_quick():
         params = LinearPotentialParams(mass, strength, mode)
         res = split_step_evolve(field0, params, t_final / steps, steps,
                                 unit=_UNIT, probe_z=0.0)
-        runs[label] = current_tof_distribution(res, params, 0.0, _UNIT)
+        runs[label] = current_tof_distribution(res, params, 0.0)
     l1_same, _ = distribution_distance(runs["gravity"], runs["accel"])
     l1_ctrl, _ = distribution_distance(runs["gravity"], runs["control"])
     ok = l1_same <= 1e-10 and l1_ctrl > 0.1

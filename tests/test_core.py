@@ -109,13 +109,6 @@ def test_unit_system_validation():
     assert UnitSystem().velocity_scale == 1.0
 
 
-def test_unit_system_fall_time():
-    unit = UnitSystem()
-    assert math.isclose(unit.fall_time(2.0), 2.0, rel_tol=1e-15)
-    with pytest.raises(ConfigurationError):
-        UnitSystem(g=0.0).fall_time(1.0)
-
-
 def test_unit_system_from_si():
     # cesium-atom-like reference scales
     unit = UnitSystem.from_si(m_ref_si=2.2e-25, delta0_ref_si=1e-6)
@@ -126,7 +119,3 @@ def test_unit_system_from_si():
     # g expressed in derived units reproduces g_SI = L / T^2
     g_si = unit.g * unit.si_length / unit.si_time**2
     assert math.isclose(g_si, 9.80665, rel_tol=1e-12)
-
-
-def test_diffusion_coefficient():
-    assert UnitSystem().diffusion_coefficient(4.0) == 0.25

@@ -10,6 +10,7 @@ from qfall import (
     GRAVITY,
     BoundaryBreachError,
     ConfigurationError,
+    GridField,
     LinearPotentialParams,
     MassPair,
     MomentSet,
@@ -253,9 +254,9 @@ def test_snapshot_dumps(tmp_path):
 
 def test_record_costs_no_transform(monkeypatch):
     """Each step is one transform pair. On top of them a run takes the
-    initial field's moments for its Nyquist check (a pair), the initial
-    spectrum, and the inverse transform of each of its two full moment
-    sets, however often it records."""
+    initial spectrum (which also feeds the Nyquist check) and the inverse
+    transform of each of its two full moment sets, however often it
+    records."""
     spec = WavepacketSpec.male_cat(0.0, 1.0, 1.0)
     grid = grid_for(spec, 512)
     field0 = build_wavefunction(spec, grid)
@@ -269,7 +270,16 @@ def test_record_costs_no_transform(monkeypatch):
     n_steps = 40
     split_step_evolve(field0, params_g(), 0.004, n_steps, record_stride=1,
                       probe_z=float(grid.points[grid.n_points // 2]))
-    assert calls == {"fft": n_steps + 2, "ifft": n_steps + 3}
+    assert calls == {"fft": n_steps + 1, "ifft": n_steps + 2}
+
+
+def test_non_unit_field_is_rejected():
+    spec = WavepacketSpec.gaussian(0.0, 1.0)
+    field0 = build_wavefunction(spec, grid_for(spec, 512))
+    for scale in (1.0 + 1e-5, 0.5, 0.0):
+        scaled = GridField(field0.grid, scale * field0.amplitudes)
+        with pytest.raises(PreconditionError, match="norm"):
+            split_step_evolve(scaled, params_g(), 0.004, 4)
 
 
 # --- the record against its snapshots -----------------------------------------

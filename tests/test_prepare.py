@@ -6,7 +6,6 @@ import pytest
 from qfall import (
     InfeasibleTargetError,
     MassPair,
-    PreparationTarget,
     WavepacketSpec,
     analytic_moments,
     check_matched,
@@ -44,9 +43,10 @@ def test_moving_cat_against_resting_gaussian_fails():
 
 def test_target_from_state():
     cat = WavepacketSpec.yurke_stoler(2.0, 1.0, 1.0)
-    target = PreparationTarget.from_state(cat, MassPair(2.0, 1.0))
-    assert math.isclose(target.mean_z, 2.0, abs_tol=1e-15)
-    assert math.isclose(target.velocity, math.exp(-1.0) / 2.0, rel_tol=1e-12)
+    mom = analytic_moments(cat)  # the target a match must reproduce
+    assert math.isclose(mom.mean_z, 2.0, abs_tol=1e-15)
+    assert math.isclose(mom.mean_p / MassPair(2.0, 1.0).m_inertial,
+                        math.exp(-1.0) / 2.0, rel_tol=1e-12)
 
 
 def test_match_resting_cat_with_gaussian_family():
