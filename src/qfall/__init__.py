@@ -61,9 +61,11 @@ from .evolve import (
     moment_evolution,
     refine_timestep,
     split_step_evolve,
+    split_step_evolve_many,
 )
 from .tof import (
     TofDistribution,
+    asymptotic_sigma_tof,
     crossing_spread,
     crossing_time_from_moments,
     current_tof_distribution,

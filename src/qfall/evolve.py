@@ -14,7 +14,8 @@ Engines:
   extended Galilean transform: free spectral evolution, a coordinate
   shift by the classical drop, and a linear momentum-kick phase;
 * a Strang split-operator spectral solver (`split_step_evolve`) with fused
-  half kicks: one transform pair per step, and none more per record.
+  half kicks: one transform pair per step, and none more per record;
+  `split_step_evolve_many` steps runs of one grid size as rows of one array.
 
 For a linear potential the Strang commutator defect is a c-number, so the
 split solution differs from the exact one by a pure global phase
@@ -55,6 +56,7 @@ __all__ = [
     "moment_evolution",
     "exact_wavefunction",
     "split_step_evolve",
+    "split_step_evolve_many",
     "default_timestep",
     "refine_timestep",
     "dump_snapshots",
@@ -196,12 +198,30 @@ def default_timestep(t_total: float, steps: int = 4096) -> float:
 
 
 def split_step_evolve(initial: GridField, params: LinearPotentialParams,
-                      dt: float, n_steps: int, snapshot_stride: int = 0,
-                      *, unit: UnitSystem = DEFAULT_UNITS,
-                      probe_z: float | None = None, record_stride: int = 1,
-                      boundary_tol: float = BOUNDARY_TOL,
-                      nyquist_margin: float = 2.0) -> EvolutionResult:
+                      dt: float, n_steps: int, snapshot_stride: int = 0, *,
+                      probe_z: float | None = None, **options) -> EvolutionResult:
+    """One run: the one-row case of :func:`split_step_evolve_many`, which
+    takes the same keyword `options` and documents the scheme and checks."""
+    return split_step_evolve_many([initial], [params], [dt], [n_steps],
+                                  snapshot_stride, probe_zs=[probe_z],
+                                  **options)[0]
+
+
+def split_step_evolve_many(initials, params, dts, n_steps,
+                           snapshot_stride: int = 0, *,
+                           probe_zs, unit: UnitSystem = DEFAULT_UNITS,
+                           record_stride: int = 1,
+                           boundary_tol: float = BOUNDARY_TOL,
+                           nyquist_margin: float = 2.0,
+                           ) -> list[EvolutionResult]:
     """Strang-split spectral evolution: half kick, full drift, half kick.
+
+    Run r takes n_steps[r] steps of dts[r] from initials[r] under
+    params[r], probing the current at probe_zs[r] (None: no probe). The
+    runs share n_points and n_steps and are the rows of one array, so a
+    step is one kick, one transform pair and one kinetic phase for all of
+    them; each row keeps its own grid, dt, force, probe and record, and
+    equals its solo run bit for bit.
 
     Adjacent half kicks merge: the loop carries chi = exp(+i F z dt / 2
     hbar) psi, and each step is one full kick, a transform, the kinetic
@@ -209,107 +229,127 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
     the returned psi (final field and snapshots). Every factor is a pure
     phase, so the norm is conserved to roundoff.
 
-    The norm, <z> and (optionally) the current at `probe_z` are recorded
-    every `record_stride` steps from chi and the spectrum the step already
-    holds, with no transform; psi is chi boosted by -F dt / 2, which adds
+    The norm, <z> and the probe current are recorded every `record_stride`
+    steps from chi and the spectrum the step already holds, with no
+    transform; psi is chi boosted by -F dt / 2, which adds
     -(F dt / 2 m) |chi(z_d)|^2 to the current. The full moment sets, whose
     cov_zp costs an inverse transform, are taken at step 0 and at the last
     step, with <p> shifted by the same boost. Snapshots are kept every
     `snapshot_stride` steps, rounded to the record stride (0 = none).
     Negative dt runs the inverse evolution, used for reversibility checks.
 
-    Raises :class:`PreconditionError` if the initial field is not unit-norm
-    (to 1e-6), :class:`ConfigurationError` if the grid cannot represent
-    the momentum acquired by the end of the run (from the initial <p> and
-    var_p) with a factor ``nyquist_margin`` to spare, and
-    :class:`BoundaryBreachError` (with the step index) if probability
-    reaches the domain edges mid-run.
+    Each run is checked on its own. Raises :class:`PreconditionError` if
+    an initial field is not unit-norm (to 1e-6), :class:`ConfigurationError`
+    if the runs differ in n_points or n_steps, a probe is off its grid, or
+    a grid cannot represent the momentum its run acquires (from the initial
+    <p> and var_p) with a factor ``nyquist_margin`` to spare, and
+    :class:`BoundaryBreachError` (with the step and the run's row) if
+    probability reaches the domain edges mid-run.
     """
-    if dt == 0:
+    rows = len(initials)
+    if {len(params), len(dts), len(n_steps), len(probe_zs)} != {rows} \
+            or len({f.grid.n_points for f in initials}) != 1 \
+            or len(set(n_steps)) != 1:
+        raise ConfigurationError("each run needs its params, dt, n_steps and "
+                                 "probe_z, and all share n_points and n_steps")
+    steps = n_steps[0]
+    if 0 in dts:
         raise PreconditionError("dt must be nonzero")
-    if n_steps < 0:
+    if steps < 0:
         raise PreconditionError("n_steps must be nonnegative")
     if record_stride < 1:
         raise PreconditionError("record_stride must be >= 1")
-    nval = norm(initial)
-    if abs(nval - 1.0) > 1e-6:
-        raise PreconditionError(f"field norm is {nval!r}, expected 1")
-    grid = initial.grid
+    for initial in initials:
+        if abs((nval := norm(initial)) - 1.0) > 1e-6:
+            raise PreconditionError(f"field norm is {nval!r}, expected 1")
     hbar = unit.hbar
-    mi = params.mass.m_inertial
-    z, dz = grid.points, grid.spacing
-
-    half_kick = np.exp(-1j * params.force * z * dt / (2.0 * hbar))
-    kick = np.exp(-1j * params.force * z * dt / hbar)
-    kinetic = np.exp(-1j * hbar * grid.wavenumbers**2 * dt / (2.0 * mi))
-    p_shift = -0.5 * params.force * dt
+    grids = [f.grid for f in initials]
+    dzs = [grid.spacing for grid in grids]
+    z = np.array([grid.points for grid in grids])
+    k = np.array([grid.wavenumbers for grid in grids])
+    force, tau, mi = (np.array(column, dtype=float)[:, None] for column in (
+        [par.force for par in params], dts,
+        [par.mass.m_inertial for par in params]))
+    half_kick = np.exp(-1j * force * z * tau / (2.0 * hbar))
+    kick = np.exp(-1j * force * z * tau / hbar)
+    kinetic = np.exp(-1j * hbar * k**2 * tau / (2.0 * mi))
+    p_shifts = [-0.5 * par.force * dt for par, dt in zip(params, dts)]
     edges = np.r_[:BOUNDARY_CELLS, -BOUNDARY_CELLS:0]
 
-    chi = initial.amplitudes / half_kick
+    chi = np.array([f.amplitudes for f in initials]) / half_kick
     spectrum = np.fft.fft(chi)
-    initial_moments = spectral_moments(chi, spectrum, grid, hbar, p_shift)
-    p_reach = abs(initial_moments.mean_p) + params.force * abs(dt) * n_steps \
-        + 5.0 * math.sqrt(initial_moments.var_p)
-    if hbar * grid.k_max < nyquist_margin * p_reach:
-        raise ConfigurationError(
-            f"grid resolves momenta up to {hbar * grid.k_max:.4g} but the run "
-            f"acquires {p_reach:.4g} (margin {nyquist_margin}); refine the grid")
-
-    weights = None
-    if probe_z is not None:
-        if not (grid.z_min <= probe_z < grid.z_max):
+    initial_moments = [spectral_moments(c, s, grid, hbar, shift) for c, s, grid,
+                       shift in zip(chi, spectrum, grids, p_shifts)]
+    for grid, par, dt, probe_z, m0 in zip(grids, params, dts, probe_zs,
+                                          initial_moments):
+        p_reach = abs(m0.mean_p) + par.force * abs(dt) * steps \
+            + 5.0 * math.sqrt(m0.var_p)
+        if hbar * grid.k_max < nyquist_margin * p_reach:
+            raise ConfigurationError(
+                f"grid resolves momenta up to {hbar * grid.k_max:.4g} but the "
+                f"run acquires {p_reach:.4g} (margin {nyquist_margin}); "
+                "refine the grid")
+        if probe_z is not None and not (grid.z_min <= probe_z < grid.z_max):
             raise ConfigurationError(f"probe at {probe_z} outside the domain")
-        weights = probe_weights(grid, probe_z)
+    weights = [None if probe_z is None else probe_weights(grid, probe_z)
+               for grid, probe_z in zip(grids, probe_zs)]
 
     if snapshot_stride:
         snapshot_stride = max(1, snapshot_stride // record_stride) * record_stride
-
-    times: list[float] = []
-    mean_z: list[float] = []
-    norms: list[float] = []
-    currents = [] if probe_z is not None else None
-    snap_times: list[float] = []
-    snaps: list[GridField] = []
+    n_records = steps // record_stride + 1 + (steps % record_stride > 0)
+    norms, mean_z, currents = np.empty((3, rows, n_records))
+    recorded, snapped, snaps = [], [], []
+    z_chi = np.empty_like(chi)
+    per_row = list(zip(chi, z_chi, spectrum, weights, dzs, params, p_shifts))
 
     def record(step: int):
         # the same quadratures as spectral_moments, without its transform
-        times.append(step * dt)
-        norms.append(math.sqrt(float(np.vdot(chi, chi).real) * dz))
-        mean_z.append(float(np.vdot(chi, z * chi).real) * dz)
-        if currents is not None:
-            currents.append(probe_current(weights, spectrum, hbar, mi, p_shift))
+        i = len(recorded)
+        recorded.append(step)
+        np.multiply(z, chi, out=z_chi)
+        for r, (c, zc, s, w, dz, par, shift) in enumerate(per_row):
+            norms[r, i] = math.sqrt(float(np.vdot(c, c).real) * dz)
+            mean_z[r, i] = float(np.vdot(c, zc).real) * dz
+            if w is not None:
+                currents[r, i] = probe_current(w, s, hbar, par.mass.m_inertial,
+                                               shift)
         if snapshot_stride and step % snapshot_stride == 0:
-            snap_times.append(step * dt)
-            snaps.append(GridField(grid, half_kick * chi))
+            snapped.append(step)
+            snaps.append([GridField(grid, h * c)
+                          for grid, h, c in zip(grids, half_kick, chi)])
 
+    # The per-row edge test runs when a screen over all rows trips; the
+    # screen's margin covers its different summation order.
+    screen, dz_max = boundary_tol * (1.0 - 1e-9), max(dzs)
     record(0)
-    for step in range(1, n_steps + 1):
+    for step in range(1, steps + 1):
         chi *= kick
         np.fft.fft(chi, out=spectrum)
         spectrum *= kinetic
         np.fft.ifft(spectrum, out=chi)
-        edge = chi[edges]
-        edge_prob = float(np.vdot(edge, edge).real) * dz
-        if edge_prob > boundary_tol:
-            raise BoundaryBreachError(
-                f"probability {edge_prob:.3e} reached the domain edge", step)
-        if step % record_stride == 0 or step == n_steps:
+        edge = chi.take(edges, axis=1)
+        if float(np.vdot(edge, edge).real) * dz_max > screen:
+            for r, (e, dz) in enumerate(zip(edge, dzs)):
+                edge_prob = float(np.vdot(e, e).real) * dz
+                if edge_prob > boundary_tol:
+                    raise BoundaryBreachError(
+                        f"probability {edge_prob:.3e} reached the domain edge",
+                        step, r)
+        if step % record_stride == 0 or step == steps:
             record(step)
 
-    return EvolutionResult(
-        times=np.array(times),
-        mean_z=np.array(mean_z),
-        norms=np.array(norms),
-        initial_moments=initial_moments,
-        final_moments=spectral_moments(chi, spectrum, grid, hbar, p_shift),
-        final_field=GridField(grid, half_kick * chi),
-        params=params,
-        dt=dt,
-        probe_z=probe_z,
-        probe_current=None if currents is None else np.array(currents),
-        snapshot_times=np.array(snap_times) if snaps else None,
-        snapshot_fields=snaps if snaps else None,
-    )
+    recorded, snapped = np.array(recorded), np.array(snapped)
+    return [EvolutionResult(
+        times=recorded * dt, mean_z=mean_z[r], norms=norms[r],
+        initial_moments=initial_moments[r],
+        final_moments=spectral_moments(chi[r], spectrum[r], grid, hbar,
+                                       p_shifts[r]),
+        final_field=GridField(grid, half_kick[r] * chi[r]),
+        params=params[r], dt=dt, probe_z=probe_zs[r],
+        probe_current=None if weights[r] is None else currents[r],
+        snapshot_times=snapped * dt if snaps else None,
+        snapshot_fields=[fields[r] for fields in snaps] or None,
+    ) for r, (grid, dt) in enumerate(zip(grids, dts))]
 
 
 def probe_weights(grid: SpatialGrid, z: float) -> np.ndarray:

@@ -14,6 +14,7 @@ import datetime
 import hashlib
 import json
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -22,14 +23,13 @@ import numpy as np
 
 from ._version import __version__
 from .core import DEFAULT_UNITS, MassPair, SpatialGrid, UnitSystem, make_grid
-from .errors import ConfigurationError, PreconditionError
+from .errors import BoundaryBreachError, ConfigurationError, PreconditionError
 from .evolve import (
     ACCELERATED_FRAME,
-    GRAVITY,
     LinearPotentialParams,
     dump_snapshots,
     moment_evolution,
-    split_step_evolve,
+    split_step_evolve_many,
 )
 from .prepare import check_matched, match_second_particle
 from .states import (
@@ -41,6 +41,7 @@ from .states import (
 )
 from .tof import (
     WINDOW_SIGMAS,
+    asymptotic_sigma_tof,
     crossing_spread,
     current_tof_distribution,
     distribution_distance,
@@ -240,66 +241,87 @@ def _grid_for(entries, t_final, config: ExperimentConfig) -> SpatialGrid:
     return make_grid(config.grid.z_min, config.grid.z_max, config.grid.n_points)
 
 
-def _run_length(spec: WavepacketSpec, params: LinearPotentialParams,
-                config: ExperimentConfig) -> float:
-    """Total simulated time: crossing plus the upper window edge with slack."""
-    t_cross, sigma = crossing_spread(analytic_moments(spec, config.unit),
-                                     params, config.z_detector)
+def _run_length(crossing, config: ExperimentConfig) -> float:
+    """Total simulated time: the (t_cross, sigma) of `crossing_spread` plus
+    the upper window edge with slack."""
+    t_cross, sigma = crossing
     return t_cross + 1.08 * config.solver.window_sigmas * sigma
 
 
-def _solve(spec: WavepacketSpec, params: LinearPotentialParams,
-           grid: SpatialGrid, dt: float, config: ExperimentConfig,
-           log: _RunLog, name: str):
-    """One split-operator drop of `spec` with the detector probe, logged to
-    `log` as solver run `name`."""
-    result = split_step_evolve(
-        build_wavefunction(spec, grid), params, dt, config.solver.time_steps,
-        snapshot_stride=config.solver.snapshot_stride, unit=config.unit,
-        probe_z=config.z_detector, record_stride=config.solver.record_stride)
-    log.solved(result, config, name)
-    return result
+# A planned split-operator drop: its run name and record label, state and
+# parameters, closed-form crossing (t_cross, sigma), grid and time step.
+_Drop = namedtuple("_Drop", "name label spec params crossing grid dt")
 
 
-def _drop_once(spec: WavepacketSpec, mass: MassPair, mode: str,
-               strength: float, config: ExperimentConfig, log: _RunLog,
-               grid: SpatialGrid | None = None, label: str = ""):
-    """One full split-operator drop, logged to `log`; returns the per-run
-    record and the arrival density."""
-    unit = config.unit
-    params = LinearPotentialParams(mass, strength, mode)
-    t_final = _run_length(spec, params, config)
+def _plan(label: str, spec: WavepacketSpec, params: LinearPotentialParams,
+          config: ExperimentConfig, grid: SpatialGrid | None = None) -> _Drop:
+    """Plan a drop named `<label>_<mode>`: its crossing, taken once, sets the
+    run length and clock, and its own domain unless `grid` is given."""
+    crossing = crossing_spread(analytic_moments(spec, config.unit), params,
+                               config.z_detector)
+    t_final = _run_length(crossing, config)
     if grid is None:
         grid = _grid_for([(spec, params)], t_final, config)
-    dt = t_final / config.solver.time_steps
-    name = f"{label}_{mode}" if label else mode
-    result = _solve(spec, params, grid, dt, config, log, name)
-    dist = current_tof_distribution(result, params, config.z_detector,
+    return _Drop(f"{label}_{params.mode}", label, spec, params, crossing, grid,
+                 t_final / config.solver.time_steps)
+
+
+def _solve(drops: list[_Drop], config: ExperimentConfig) -> list:
+    """The runs of `drops` with the detector probe, in order. Drops of one
+    grid size are the rows of one solver loop; a run with snapshots gets a
+    loop of its own, so snapshot memory stays per run."""
+    groups: dict[tuple, list[int]] = {}
+    for i, drop in enumerate(drops):
+        key = (drop.grid.n_points, i if config.solver.snapshot_stride else -1)
+        groups.setdefault(key, []).append(i)
+    results = {}
+    for rows in groups.values():
+        group = [drops[i] for i in rows]
+        try:
+            results.update(zip(rows, split_step_evolve_many(
+                [build_wavefunction(d.spec, d.grid) for d in group],
+                [d.params for d in group], [d.dt for d in group],
+                [config.solver.time_steps] * len(group),
+                config.solver.snapshot_stride, unit=config.unit,
+                probe_zs=[config.z_detector] * len(group),
+                record_stride=config.solver.record_stride)))
+        except BoundaryBreachError as err:
+            raise BoundaryBreachError(err.message, err.step_index,
+                                      group[err.run].name) from err
+    return [results[i] for i in range(len(drops))]
+
+
+def _drop_record(drop: _Drop, result, config: ExperimentConfig,
+                 log: _RunLog):
+    """Log the run of `drop` and its arrival density to `log`; returns the
+    per-run record and the density."""
+    log.solved(result, config, drop.name)
+    dist = current_tof_distribution(result, drop.params, config.z_detector,
                                     config.solver.window_sigmas)
-    log.arrived(dist, name)
-    sigma_full, sigma_asym = semiclassical_sigma_tof(
-        spec, params, config.z_detector, unit)
-    record = {
-        "label": label,
-        "mode": mode,
+    log.arrived(dist, drop.name)
+    spec, mass = drop.spec, drop.params.mass
+    return {
+        "label": drop.label,
+        "mode": drop.params.mode,
         "m_inertial": mass.m_inertial,
         "m_gravitational": mass.m_gravitational,
         "state_kind": spec.kind,
         "theta": spec.theta,
-        "t_ehrenfest": ehrenfest_tof(spec, params, config.z_detector, unit),
+        "t_ehrenfest": drop.crossing[0],
         "t_mean_crossing": mean_crossing_time(result, config.z_detector),
-        "sigma_full": sigma_full,
-        "sigma_asymptotic": sigma_asym,
-        "epsilon": epsilon_factor(spec, unit),
+        "sigma_full": drop.crossing[1],
+        "sigma_asymptotic": asymptotic_sigma_tof(spec, drop.params,
+                                                 config.unit),
+        "epsilon": epsilon_factor(spec, config.unit),
         "tof_mean": dist.mean_t,
         "tof_std": dist.std_t,
         "clipped_negativity": dist.clipped_negativity,
         "capture_fraction": dist.capture_fraction,
         "low_capture_warning": dist.low_capture_warning,
-        "dt": dt,
-        "grid_points": grid.n_points,
-    }
-    return record, dist
+        "dt": drop.dt,
+        "grid_points": drop.grid.n_points,
+        "config_digest": config.digest(),
+    }, dist
 
 
 # The bound on a solver run's norm drift max |1 - norm| (acceptance
@@ -436,18 +458,17 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
             "preparation")
 
     digest = config.digest()
-    records, dists, distributions, log = [], [], {}, _RunLog()
-    for idx, particle in enumerate((p1, p2), start=1):
-        rec, dist = _drop_once(particle.spec, particle.mass, GRAVITY,
-                               config.field_strength, config, log,
-                               label=f"particle{idx}")
-        rec["config_digest"] = digest
+    drops = [_plan(f"particle{idx}", p.spec,
+                   LinearPotentialParams(p.mass, config.field_strength), config)
+             for idx, p in enumerate((p1, p2), start=1)]
+    records, distributions, log = [], {}, _RunLog()
+    for drop, result in zip(drops, _solve(drops, config)):
+        rec, dist = _drop_record(drop, result, config, log)
         records.append(rec)
-        dists.append(dist)
-        distributions[f"particle{idx}"] = dist
+        distributions[drop.label] = dist
 
     solver_tol = records[0]["dt"] + records[1]["dt"]
-    l1, ks = distribution_distance(dists[0], dists[1])
+    l1, ks = distribution_distance(*distributions.values())
     summary = {
         "matched": bool(match),
         "position_residual": match.position_residual,
@@ -482,45 +503,38 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
     solver roundoff; a deliberately mismatched control acceleration
     (accel_factor * g) must be clearly distinguishable.
     """
-    unit = config.unit
     for particle in config.particles:
         if particle.mass.m_inertial != particle.mass.m_gravitational:
             raise ConfigurationError(
                 "equivalence test assumes m_inertial == m_gravitational")
-    digest = config.digest()
-    records = []
-    identity_l1 = []
-    control_l1 = None
-    distributions, log = {}, _RunLog()
+    drops = []
     for idx, particle in enumerate(config.particles, start=1):
-        grav = LinearPotentialParams(particle.mass, config.field_strength)
-        t_final = _run_length(particle.spec, grav, config)
-        grid = _grid_for([(particle.spec, grav)], t_final, config)
-        rec_g, dist_g = _drop_once(
-            particle.spec, particle.mass, GRAVITY, config.field_strength,
-            config, log, grid, label=f"particle{idx}")
-        rec_a, dist_a = _drop_once(
-            particle.spec, particle.mass, ACCELERATED_FRAME,
-            config.field_strength, config, log, grid, label=f"particle{idx}")
+        label, spec, mass = f"particle{idx}", particle.spec, particle.mass
+        grav = _plan(label, spec,
+                     LinearPotentialParams(mass, config.field_strength), config)
+        drops += [grav, _plan(label, spec, LinearPotentialParams(
+            mass, config.field_strength, ACCELERATED_FRAME), config, grav.grid)]
+        if idx == 1 and config.accel_factor > 0:
+            drops.append(_plan("control", spec, LinearPotentialParams(
+                mass, config.accel_factor * config.field_strength,
+                ACCELERATED_FRAME), config))
+    log = _RunLog()
+    built = iter([_drop_record(drop, result, config, log)
+                  for drop, result in zip(drops, _solve(drops, config))])
+    records, identity_l1, control_l1, distributions = [], [], None, {}
+    for idx in range(1, len(config.particles) + 1):
+        (rec_g, dist_g), (rec_a, dist_a) = next(built), next(built)
         l1, ks = distribution_distance(dist_g, dist_a)
         identity_l1.append(l1)
         distributions[f"particle{idx}_gravity"] = dist_g
         distributions[f"particle{idx}_accelerated"] = dist_a
-        for rec in (rec_g, rec_a):
-            rec["config_digest"] = digest
-            rec["identity_l1"] = l1
-            rec["identity_ks"] = ks
-            records.append(rec)
+        records += [dict(rec, identity_l1=l1, identity_ks=ks)
+                    for rec in (rec_g, rec_a)]
         if idx == 1 and config.accel_factor > 0:
-            rec_c, dist_c = _drop_once(
-                particle.spec, particle.mass, ACCELERATED_FRAME,
-                config.accel_factor * config.field_strength, config, log,
-                label="control")
-            rec_c["config_digest"] = digest
+            rec_c, dist_c = next(built)
             control_l1, _ = distribution_distance(dist_g, dist_c)
-            rec_c["identity_l1"] = control_l1
-            rec_c["identity_ks"] = float("nan")
-            records.append(rec_c)
+            records.append(dict(rec_c, identity_l1=control_l1,
+                                identity_ks=float("nan")))
             distributions["control"] = dist_c
 
     passed = max(identity_l1) <= 1e-10 and (
@@ -530,7 +544,8 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
         "control_l1": control_l1,
         "passed": passed,
     }
-    return ExperimentReport("ep_test", digest, records, summary=summary,
+    return ExperimentReport("ep_test", config.digest(), records,
+                            summary=summary,
                             manifest=_base_manifest(config, log),
                             distributions=distributions)
 
@@ -627,23 +642,24 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
 
     # Shared clock and domain so branch currents superpose sample by sample.
     specs = [spec, branch_plus, branch_minus]
-    t_final = max(_run_length(s, params, config) for s in specs)
+    crossings = [crossing_spread(analytic_moments(s, unit), params,
+                                 config.z_detector) for s in specs]
+    t_final = max(_run_length(c, config) for c in crossings)
     grid = _grid_for([(s, params) for s in specs], t_final, config)
     dt = t_final / config.solver.time_steps
+    drops = [_Drop(name, name, s, params, c, grid, dt) for name, s, c in
+             zip(("pure", "branch_plus", "branch_minus"), specs, crossings)]
     log = _RunLog()
-    res_pure, res_plus, res_minus = [
-        _solve(s, params, grid, dt, config, log, name) for s, name in
-        zip(specs, ("pure", "branch_plus", "branch_minus"))]
+    res_pure, res_plus, res_minus = results = _solve(drops, config)
+    for drop, result in zip(drops, results):
+        log.solved(result, config, drop.name)
 
     dist_pure = current_tof_distribution(res_pure, params, config.z_detector,
                                          config.solver.window_sigmas)
     mixed_current = wp * res_plus.probe_current + wm * res_minus.probe_current
     sigmas = config.solver.window_sigmas
-    edges = [crossing_spread(analytic_moments(s, unit), params,
-                             config.z_detector)
-             for s in (branch_plus, branch_minus)]
-    window = (max(0.0, min(t - sigmas * sig for t, sig in edges)),
-              max(t + sigmas * sig for t, sig in edges))
+    window = (max(0.0, min(t - sigmas * sig for t, sig in crossings[1:])),
+              max(t + sigmas * sig for t, sig in crossings[1:]))
     wide = (0.0, float(res_plus.times[-1]))
     dist_mixed = distribution_from_current(res_plus.times, mixed_current,
                                            window, wide)

@@ -39,6 +39,7 @@ __all__ = [
     "crossing_spread",
     "mean_crossing_time",
     "epsilon_factor",
+    "asymptotic_sigma_tof",
     "semiclassical_sigma_tof",
     "current_tof_distribution",
     "distribution_from_current",
@@ -189,6 +190,14 @@ def epsilon_factor(spec: WavepacketSpec,
     return math.sqrt(var_p / reference)
 
 
+def asymptotic_sigma_tof(spec: WavepacketSpec, params: LinearPotentialParams,
+                         unit: UnitSystem = DEFAULT_UNITS) -> float:
+    """sigma_asymptotic of :func:`semiclassical_sigma_tof`."""
+    eps = epsilon_factor(spec, unit)
+    return (math.sqrt(2.0) / 2.0) * eps * unit.hbar / (
+        spec.delta0 * params.coupling_mass * params.field_strength)
+
+
 def semiclassical_sigma_tof(spec: WavepacketSpec,
                             params: LinearPotentialParams, z_detector: float,
                             unit: UnitSystem = DEFAULT_UNITS,
@@ -203,10 +212,7 @@ def semiclassical_sigma_tof(spec: WavepacketSpec,
     """
     _, sigma_full = crossing_spread(analytic_moments(spec, unit), params,
                                     z_detector)
-    eps = epsilon_factor(spec, unit)
-    sigma_asym = (math.sqrt(2.0) / 2.0) * eps * unit.hbar / (
-        spec.delta0 * params.coupling_mass * params.field_strength)
-    return sigma_full, sigma_asym
+    return sigma_full, asymptotic_sigma_tof(spec, params, unit)
 
 
 def distribution_from_current(times: np.ndarray, current: np.ndarray,

@@ -26,7 +26,10 @@ from qfall import (
     norm,
     numeric_moments,
     split_step_evolve,
+    split_step_evolve_many,
 )
+
+from qfall.evolve import probe_current, probe_weights
 
 from conftest import grid_for, random_cat
 
@@ -253,10 +256,10 @@ def test_snapshot_dumps(tmp_path):
 
 
 def test_record_costs_no_transform(monkeypatch):
-    """Each step is one transform pair. On top of them a run takes the
-    initial spectrum (which also feeds the Nyquist check) and the inverse
-    transform of each of its two full moment sets, however often it
-    records."""
+    """Each step is one transform pair, however many rows the loop carries.
+    On top of them a loop takes the initial spectrum of all rows (which
+    also feeds the Nyquist checks) and, per row, the inverse transform of
+    each of its two full moment sets, however often it records."""
     spec = WavepacketSpec.male_cat(0.0, 1.0, 1.0)
     grid = grid_for(spec, 512)
     field0 = build_wavefunction(spec, grid)
@@ -267,10 +270,17 @@ def test_record_costs_no_transform(monkeypatch):
             calls[name] += 1
             return transform(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    n_steps = 40
+    n_steps, probe = 40, float(grid.points[grid.n_points // 2])
     split_step_evolve(field0, params_g(), 0.004, n_steps, record_stride=1,
-                      probe_z=float(grid.points[grid.n_points // 2]))
+                      probe_z=probe)
     assert calls == {"fft": n_steps + 1, "ifft": n_steps + 2}
+    rows = 3
+    calls.update(fft=0, ifft=0)
+    split_step_evolve_many(
+        [field0] * rows, [params_g(g=1.0 + r) for r in range(rows)],
+        [0.004] * rows, [n_steps] * rows, record_stride=1,
+        probe_zs=[probe] * rows)
+    assert calls == {"fft": n_steps + 1, "ifft": n_steps + 2 * rows}
 
 
 def test_non_unit_field_is_rejected():
@@ -331,3 +341,165 @@ def test_record_matches_snapshots_property(seed, m_inertial, m_gravitational,
     spec = random_cat(np.random.default_rng(seed))
     assert_record_matches_snapshots(spec, MassPair(m_inertial, m_gravitational),
                                     record_stride, n_steps=8 * record_stride)
+
+
+# --- several runs in one loop -------------------------------------------------
+
+def assert_same_run(a, b):
+    """Bitwise equality of two runs' records, moments, fields and snapshots."""
+    for name in ("times", "norms", "mean_z", "probe_current",
+                 "snapshot_times"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.initial_moments == b.initial_moments
+    assert a.final_moments == b.final_moments
+    assert np.array_equal(a.final_field.amplitudes, b.final_field.amplitudes)
+    assert (a.snapshot_fields is None) == (b.snapshot_fields is None)
+    for fa, fb in zip(a.snapshot_fields or (), b.snapshot_fields or ()):
+        assert np.array_equal(fa.amplitudes, fb.amplitudes)
+
+
+def test_rows_equal_their_solo_runs():
+    """Rows with their own grid, state, masses, mode, field, dt and probe
+    (one without) come out of one loop exactly as from solo runs."""
+    rng = np.random.default_rng(11)
+    runs = []
+    for r in range(4):
+        spec = random_cat(rng)
+        grid = grid_for(spec, 1024)
+        mode = (GRAVITY, ACCELERATED_FRAME)[r % 2]
+        params = LinearPotentialParams(
+            MassPair(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)),
+            rng.uniform(0.5, 1.5), mode)
+        probe = None if r == 2 else float(grid.points[grid.n_points // 2 + r])
+        runs.append((build_wavefunction(spec, grid), params,
+                     rng.uniform(0.002, 0.005), probe))
+    options = dict(snapshot_stride=12, record_stride=3)
+    fields, params, dts, probes = map(list, zip(*runs))
+    rows = split_step_evolve_many(fields, params, dts, [100] * len(runs),
+                                  probe_zs=probes, **options)
+    for row, (field0, params, dt, probe) in zip(rows, runs):
+        solo = split_step_evolve(field0, params, dt, 100, probe_z=probe,
+                                 **options)
+        assert_same_run(row, solo)
+        assert row.params == params and row.dt == dt and row.probe_z == probe
+    assert rows[2].probe_current is None
+
+
+def test_rows_must_share_grid_size_and_steps():
+    spec = WavepacketSpec.gaussian(0.0, 1.0)
+    small = build_wavefunction(spec, grid_for(spec, 512))
+    large = build_wavefunction(spec, grid_for(spec, 1024))
+    for fields, steps in (([small, large], [8, 8]), ([small, small], [8, 9]),
+                          ([small, small], [8])):
+        with pytest.raises(ConfigurationError, match="n_points and n_steps"):
+            split_step_evolve_many(fields, [params_g()] * 2, [0.004] * 2,
+                                   steps, probe_zs=[None] * 2)
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+@pytest.mark.parametrize("flaw,error", [
+    ("norm", PreconditionError), ("nyquist", ConfigurationError),
+    ("probe", ConfigurationError)])
+def test_each_row_is_checked_before_the_loop(bad, flaw, error):
+    spec = WavepacketSpec.gaussian(0.0, 1.0)
+    field0 = build_wavefunction(spec, make_grid(-20.0, 20.0, 1024))
+    fields, params, probes = [field0] * 2, [params_g()] * 2, [0.0] * 2
+    if flaw == "norm":
+        fields[bad] = GridField(field0.grid, 0.5 * field0.amplitudes)
+    elif flaw == "nyquist":
+        params[bad] = params_g(g=100.0)
+    else:
+        probes[bad] = 25.0
+    with pytest.raises(error):
+        split_step_evolve_many(fields, params, [0.01] * 2, [1000] * 2,
+                               probe_zs=probes, record_stride=1000)
+
+
+@pytest.mark.parametrize("tight_row", [0, 1])
+def test_boundary_breach_names_the_row(tight_row):
+    """A row on a tight grid breaches beside a safe one: the error names the
+    tight row and the step its solo run breaches at."""
+    spec = WavepacketSpec.gaussian(0.0, 1.0)
+    tight = build_wavefunction(spec, make_grid(-12.0, 12.0, 512))
+    safe = build_wavefunction(spec, make_grid(-40.0, 40.0, 512))
+    with pytest.raises(BoundaryBreachError) as solo:
+        split_step_evolve(tight, params_g(), 0.01, 2000, record_stride=2000)
+    fields, params = [safe, safe], [params_g(g=0.0), params_g(g=0.0)]
+    fields[tight_row], params[tight_row] = tight, params_g()
+    with pytest.raises(BoundaryBreachError) as pair:
+        split_step_evolve_many(fields, params, [0.01] * 2, [2000] * 2,
+                               probe_zs=[None] * 2, record_stride=2000)
+    assert solo.value.run == 0
+    assert pair.value.run == tight_row
+    assert pair.value.step_index == solo.value.step_index
+    assert f"run {tight_row})" in str(pair.value)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mass=st.floats(0.5, 4.0),
+       record_stride=st.integers(1, 8),
+       n_points=st.sampled_from([256, 512, 1024]))
+def test_gravity_and_accelerated_frame_rows_are_identical(
+        seed, mass, record_stride, n_points):
+    """With m_i = m_g, gravity and the accelerated frame are one Hamiltonian:
+    as two rows of one loop they agree bit for bit with each other and with
+    their solo runs."""
+    spec = random_cat(np.random.default_rng(seed))
+    grid = grid_for(spec, n_points)
+    field0 = build_wavefunction(spec, grid)
+    modes = [LinearPotentialParams(MassPair(mass, mass), 1.0, mode)
+             for mode in (GRAVITY, ACCELERATED_FRAME)]
+    n_steps, probe = 8 * record_stride, float(grid.points[n_points // 2])
+    rows = split_step_evolve_many([field0] * 2, modes, [0.004] * 2,
+                                  [n_steps] * 2, probe_zs=[probe] * 2,
+                                  record_stride=record_stride)
+    for row, params in zip(rows, modes):
+        solo = split_step_evolve(field0, params, 0.004, n_steps, probe_z=probe,
+                                 record_stride=record_stride)
+        assert_same_run(row, solo)
+    assert_same_run(rows[0], rows[1])
+
+
+def one_dimensional_strang(field0, params, dt, n_steps, probe_z):
+    """The fused-kick Strang loop of one run on 1-D arrays: (final psi,
+    norms, <z>, probe currents) at every step."""
+    grid, hbar = field0.grid, 1.0
+    z, dz, mi, force = grid.points, grid.spacing, params.mass.m_inertial, \
+        params.force
+    half_kick = np.exp(-1j * force * z * dt / (2.0 * hbar))
+    kick = np.exp(-1j * force * z * dt / hbar)
+    kinetic = np.exp(-1j * hbar * grid.wavenumbers**2 * dt / (2.0 * mi))
+    weights = probe_weights(grid, probe_z)
+    chi = field0.amplitudes / half_kick
+    spectrum = np.fft.fft(chi)
+    norms, mean_z, currents = [], [], []
+    for step in range(n_steps + 1):
+        if step:
+            spectrum = np.fft.fft(chi * kick) * kinetic
+            chi = np.fft.ifft(spectrum)
+        norms.append(math.sqrt(float(np.vdot(chi, chi).real) * dz))
+        mean_z.append(float(np.vdot(chi, z * chi).real) * dz)
+        currents.append(probe_current(weights, spectrum, hbar, mi,
+                                      -0.5 * force * dt))
+    return half_kick * chi, norms, mean_z, currents
+
+
+def test_rows_match_the_one_dimensional_loop():
+    """Row-wise transforms and broadcast phases give, bit for bit, what the
+    1-D loop gives for each run alone."""
+    rng = np.random.default_rng(5)
+    specs = [random_cat(rng) for _ in range(3)]
+    fields = [build_wavefunction(s, grid_for(s, 512)) for s in specs]
+    params = [LinearPotentialParams(MassPair(m, m), g, mode) for m, g, mode
+              in ((1.0, 1.0, GRAVITY), (2.5, 0.7, ACCELERATED_FRAME),
+                  (0.6, 1.3, GRAVITY))]
+    dts = [0.004, 0.003, 0.005]
+    probes = [float(f.grid.points[300]) for f in fields]
+    rows = split_step_evolve_many(fields, params, dts, [48] * 3,
+                                  probe_zs=probes)
+    for row, *run in zip(rows, fields, params, dts, [48] * 3, probes):
+        psi, norms, mean_z, currents = one_dimensional_strang(*run)
+        assert np.array_equal(row.final_field.amplitudes, psi)
+        assert row.norms.tolist() == norms
+        assert row.mean_z.tolist() == mean_z
+        assert row.probe_current.tolist() == currents

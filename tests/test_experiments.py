@@ -7,6 +7,7 @@ import pytest
 from qfall import (
     DEFAULT_CONFIG_TEXT,
     GRAVITY,
+    BoundaryBreachError,
     ConfigurationError,
     ExperimentConfig,
     GridSettings,
@@ -29,6 +30,7 @@ from qfall import (
     run_mass_sweep,
     semiclassical_sigma_tof,
     split_step_evolve,
+    split_step_evolve_many,
 )
 from qfall import experiments, tof
 from conftest import EPS_RATIO
@@ -313,11 +315,12 @@ def test_decoherence_requires_cat():
 def test_manifest_warns_on_norm_drift_and_low_capture(
         monkeypatch, runner, particles, norm_runs, capture_runs):
     def drifting(*args, **kwargs):
-        result = split_step_evolve(*args, **kwargs)
-        result.norms = result.norms + 2e-10
-        return result
+        results = split_step_evolve_many(*args, **kwargs)
+        for result in results:
+            result.norms = result.norms + 2e-10
+        return results
 
-    monkeypatch.setattr(experiments, "split_step_evolve", drifting)
+    monkeypatch.setattr(experiments, "split_step_evolve_many", drifting)
     monkeypatch.setattr(tof, "CAPTURE_THRESHOLD", 2.0)  # no window meets it
     warnings = runner(config_for(particles)).manifest["warnings"]
     drift = [w.split(":")[0] for w in warnings if "|1 - norm|" in w]
@@ -363,3 +366,45 @@ def test_explicit_grid_settings_used():
         solver=FAST_SOLVER)
     report = run_equivalence_test(config)
     assert all(rec["grid_points"] == 4096 for rec in report.records)
+
+
+# --- solver loops -----------------------------------------------------------------
+
+def loop_sizes(monkeypatch):
+    """Record the rows of every solver loop an experiment runs."""
+    sizes = []
+
+    def counted(initials, *args, **kwargs):
+        sizes.append([f.grid.n_points for f in initials])
+        return split_step_evolve_many(initials, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "split_step_evolve_many", counted)
+    return sizes
+
+
+def test_same_size_drops_share_one_loop(monkeypatch):
+    sizes = loop_sizes(monkeypatch)
+    cat = Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(1, 1))
+    run_decoherence_comparison(config_for([cat]))
+    run_equivalence_test(config_for([gaussian_particle()]))
+    assert [len(rows) for rows in sizes] == [3, 3]
+    assert all(len(set(rows)) == 1 for rows in sizes)
+
+
+def test_runs_with_snapshots_keep_their_own_loop(monkeypatch, tmp_path):
+    sizes = loop_sizes(monkeypatch)
+    solver = SolverSettings(time_steps=1024, snapshot_stride=512)
+    report = run_equivalence_test(config_for(
+        [gaussian_particle()], solver=solver, output_dir=str(tmp_path)))
+    assert [len(rows) for rows in sizes] == [1, 1, 1]
+    assert len(report.manifest["snapshots"]) == 3 * 3  # steps 0, 512, 1024
+
+
+def test_boundary_breach_names_the_experiment_run():
+    config = config_for([gaussian_particle()], grid=GridSettings(
+        auto=False, z_min=-6.0, z_max=12.0, n_points=1024))
+    with pytest.raises(BoundaryBreachError) as excinfo:
+        run_equivalence_test(config)
+    assert excinfo.value.run == "particle1_gravity"
+    assert excinfo.value.step_index > 0
+    assert "run particle1_gravity)" in str(excinfo.value)
