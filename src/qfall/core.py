@@ -23,6 +23,7 @@ __all__ = [
     "GridField",
     "DEFAULT_UNITS",
     "make_grid",
+    "fft_size",
     "norm",
     "boundary_probability",
 ]
@@ -96,15 +97,22 @@ class MassPair:
         return self.m_inertial / self.m_gravitational
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def fft_size(need: float) -> int:
+    """The smallest even size >= `need` with no prime factor above 5, the
+    sizes :class:`SpatialGrid` takes: numpy's FFT is fast on them."""
+    half = max(1, math.ceil(need / 2))  # the size is 2 * 2**k * 3**b * 5**c
+    bits = (2 * half).bit_length()  # 3**bits and 5**bits exceed 2 * half
+    odds = (3**b * 5**c for b in range(bits) for c in range(bits))
+    # each odd part 3**b * 5**c times the least power of two reaching `half`
+    return 2 * min(odd << (-(-half // odd) - 1).bit_length()
+                   for odd in odds if odd < 2 * half)
 
 
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform periodic 1-D grid with its spectral wavenumbers.
 
-    The domain is [z_min, z_max) sampled at n_points (a power of two);
+    The domain is [z_min, z_max) sampled at n_points (an `fft_size` >= 16);
     wavenumbers follow the periodic convention k = 2*pi*j/(z_max - z_min)
     with j in [-n/2, n/2).
     """
@@ -119,9 +127,11 @@ class SpatialGrid:
         if not self.z_min < self.z_max:
             raise ConfigurationError(
                 f"z_min must be below z_max, got [{self.z_min}, {self.z_max}]")
-        if not (_is_power_of_two(self.n_points) and self.n_points >= 2):
+        # n divides 30**64 iff its only prime factors are 2, 3, 5 (n < 2**64)
+        if self.n_points < 16 or self.n_points % 2 or 30**64 % self.n_points:
             raise ConfigurationError(
-                f"n_points must be a power of two >= 2, got {self.n_points}")
+                "n_points must be >= 16, even, and have no prime factor above "
+                f"5, got {self.n_points}")
         z = self.z_min + self.spacing * np.arange(self.n_points)
         k = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
         z.setflags(write=False)
@@ -144,10 +154,7 @@ class SpatialGrid:
 
 
 def make_grid(z_min: float, z_max: float, n_points: int) -> SpatialGrid:
-    """Construct a spectral grid; n_points must be a power of two >= 16."""
-    if not (_is_power_of_two(n_points) and n_points >= 16):
-        raise ConfigurationError(
-            f"n_points must be a power of two >= 16, got {n_points}")
+    """A spectral grid; n_points is an `fft_size` >= 16 (1,080, 5,400...)."""
     return SpatialGrid(z_min, z_max, n_points)
 
 

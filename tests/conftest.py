@@ -53,6 +53,17 @@ def random_cat(rng, z0_range=(-2.0, 2.0)) -> WavepacketSpec:
         mods[1] * np.exp(1j * phases[1]))
 
 
+def largest_prime_factor(n: int) -> int:
+    """By trial division, independent of the grid-size code under test."""
+    p = 2
+    while p * p <= n:
+        if n % p:
+            p += 1
+        else:
+            n //= p
+    return n
+
+
 def grid_for(spec: WavepacketSpec, n_points: int = 4096):
     """Grid holding the spec with wide spectral margins."""
     half = spec.delta + 14.0 * spec.delta0

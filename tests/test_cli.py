@@ -151,6 +151,20 @@ def test_main_sweep_reruns_are_byte_identical(tmp_path):
     assert csv_a == csv_b
 
 
+@pytest.mark.parametrize("command", ["drop", "ep-test", "decohere"])
+def test_main_solver_reruns_are_byte_identical(tmp_path, capsys, command):
+    # the planned grids are not powers of two (1,152 to 1,920 points here)
+    config_path = tmp_path / "drop.ini"
+    config_path.write_text(SMALL_DROP)
+    tables = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert main([command, "--config", str(config_path), "--out",
+                     str(out)]) == 0
+        tables.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+    assert len(tables[0]) >= 3 and tables[0] == tables[1]
+
+
 def test_main_drop_with_config(tmp_path, capsys):
     config_path = tmp_path / "drop.ini"
     config_path.write_text(SMALL_DROP)

@@ -14,6 +14,8 @@ from qfall import (
     make_grid,
     norm,
 )
+from qfall.core import fft_size
+from conftest import largest_prime_factor
 
 
 def test_make_grid_spacing():
@@ -24,6 +26,28 @@ def test_make_grid_spacing():
 def test_make_grid_rejects_non_power_of_two():
     with pytest.raises(ConfigurationError):
         make_grid(0.0, 1.0, 15)
+
+
+def test_fft_size_is_the_next_accepted_size():
+    sizes = [n for n in range(2, 5000, 2) if largest_prime_factor(n) <= 5]
+    for need in (0.5, 2, 15.2, 1023.5, 1025, 4096, 4097):
+        assert fft_size(need) == min(n for n in sizes if n >= need)
+    huge = fft_size(1e15 + 1)  # found without stepping through the gap
+    assert 1e15 < huge < 1.07e15 and 30**64 % huge == 0
+
+
+@pytest.mark.parametrize("n_points", [1080, 5400])
+def test_make_grid_accepts_five_smooth_sizes(n_points):
+    grid = make_grid(-10.0, 17.0, n_points)
+    assert grid.points.shape == grid.wavenumbers.shape == (n_points,)
+    assert grid.k_max == math.pi * n_points / 27.0
+
+
+# 2 * 7, 2 * 7 * 73, and the odd 3**5 * 5
+@pytest.mark.parametrize("n_points", [14, 1022, 1215])
+def test_make_grid_rejects_odd_sizes_and_prime_factors_above_five(n_points):
+    with pytest.raises(ConfigurationError, match="even"):
+        make_grid(0.0, 1.0, n_points)
 
 
 def test_make_grid_rejects_inverted_bounds():

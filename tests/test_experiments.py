@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfall import (
     DEFAULT_CONFIG_TEXT,
     GRAVITY,
+    STATE_FAMILIES,
     BoundaryBreachError,
     ConfigurationError,
     ExperimentConfig,
@@ -18,6 +21,7 @@ from qfall import (
     SolverSettings,
     SweepSettings,
     WavepacketSpec,
+    analytic_moments,
     build_wavefunction,
     current_tof_distribution,
     ehrenfest_tof,
@@ -33,7 +37,7 @@ from qfall import (
     split_step_evolve_many,
 )
 from qfall import experiments, tof
-from conftest import EPS_RATIO
+from conftest import EPS_RATIO, largest_prime_factor
 
 FAST_SOLVER = SolverSettings(time_steps=1024)
 
@@ -63,6 +67,34 @@ def test_plan_domain_respects_cap():
     params = LinearPotentialParams(MassPair(1, 1), 1.0, GRAVITY)
     with pytest.raises(ConfigurationError):
         plan_domain([(spec, params)], 0.0, 25.0, max_points=2048)
+
+
+def is_fft_size(n):
+    return n % 2 == 0 and largest_prime_factor(n) <= 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(STATE_FAMILIES)), z0=st.floats(1.0, 4.0),
+       delta0=st.floats(0.6, 1.6), separation=st.floats(0.3, 2.5),
+       mass=st.floats(0.5, 64.0), overshoot=st.floats(1.0, 1.6))
+def test_plan_domain_picks_the_smallest_fft_size(kind, z0, delta0, separation,
+                                                 mass, overshoot):
+    spec = STATE_FAMILIES[kind](z0, separation * delta0, delta0)
+    params = LinearPotentialParams(MassPair(mass, mass), 1.0, GRAVITY)
+    t_final = overshoot * ehrenfest_tof(spec, params, 0.0)
+    grid = plan_domain([(spec, params)], 0.0, t_final, max_points=2**18)
+    # the planner's two spacing bounds (hbar = 1): Nyquist with margin 2.5
+    # over the momentum reached, and a third of the peak width
+    m0 = analytic_moments(spec)
+    p_reach = max(abs(m0.mean_p), abs(m0.mean_p - params.force * t_final)) \
+        + 6.0 * math.sqrt(m0.var_p)
+    dz = min(math.pi / (2.5 * p_reach), delta0 / 3.0)
+    need, n = grid.length / dz, grid.n_points
+    assert grid.spacing <= dz * (1.0 + 1e-12)
+    assert is_fft_size(n) and n >= 1024
+    assert n <= max(1024, 2 ** math.ceil(math.log2(need)))
+    assert not [size for size in range(max(1024, math.ceil(need)), n)
+                if is_fft_size(size)]
 
 
 def test_fit_power_law_exact():
@@ -398,6 +430,55 @@ def test_runs_with_snapshots_keep_their_own_loop(monkeypatch, tmp_path):
         [gaussian_particle()], solver=solver, output_dir=str(tmp_path)))
     assert [len(rows) for rows in sizes] == [1, 1, 1]
     assert len(report.manifest["snapshots"]) == 3 * 3  # steps 0, 512, 1024
+
+
+def drop_pair(mass):
+    """A male cat and a Gaussian of one mass, both released at rest at z = 2."""
+    return config_for([
+        Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(mass, mass)),
+        Particle(WavepacketSpec.gaussian(2.0, 1.0), MassPair(mass, mass))])
+
+
+@pytest.fixture(scope="module")
+def sized_pairs():
+    """mass -> (report, rows of each solver loop) for the light and heavy
+    drop pairs on their planned grids."""
+    pairs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for mass in (1.5, 16.0):
+            sizes = loop_sizes(patch)
+            pairs[mass] = (run_galileo_pair(drop_pair(mass)), sizes)
+    return pairs
+
+
+def test_drop_pairs_share_a_loop_within_the_size_factor(sized_pairs):
+    # planned: cat 1,080 and Gaussian 1,250 points at m = 1.5 (1.16x apart);
+    # cat 5,760 and Gaussian 2,880 at m = 16 (2x apart)
+    assert sized_pairs[1.5][1] == [[1250, 1250]]
+    assert sized_pairs[16.0][1] == [[5760], [2880]]
+    for report, sizes in sized_pairs.values():
+        solved = [n for rows in sizes for n in rows]
+        assert [rec["grid_points"] for rec in report.records] == solved
+        runs = report.manifest["runs"]
+        assert [runs[f"particle{i}_gravity"]["grid_points"]
+                for i in (1, 2)] == solved
+        # the solver refuses a run below 2x headroom; a right-sized grid
+        # keeps it under 4x
+        assert all(2.0 <= run["nyquist_headroom"] < 4.0
+                   for run in runs.values())
+
+
+@pytest.mark.parametrize("mass", [1.5, 16.0])
+def test_right_sized_grid_keeps_the_physics(monkeypatch, sized_pairs, mass):
+    right = sized_pairs[mass][0].records
+    monkeypatch.setattr(experiments, "fft_size",
+                        lambda need: 2 ** math.ceil(math.log2(need)))
+    power_of_two = run_galileo_pair(drop_pair(mass)).records
+    for a, b in zip(right, power_of_two):
+        assert b["grid_points"] in (2048, 4096, 8192)
+        assert a["grid_points"] < b["grid_points"]
+        for key in ("tof_mean", "tof_std", "t_mean_crossing"):
+            assert a[key] == pytest.approx(b[key], rel=1e-12, abs=0.0)
 
 
 def test_boundary_breach_names_the_experiment_run():
