@@ -39,7 +39,6 @@ from .states import (
     WavepacketSpec,
     analytic_moments,
     build_wavefunction,
-    interference_gap,
     mixture_moments,
     normalization_constant,
     numeric_moments,

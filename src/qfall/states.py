@@ -13,7 +13,7 @@ two must agree and each serves as the oracle for the other.
 
 Removing the interference (off-diagonal) part of the density matrix
 turns the cat into a classical statistical mixture of its two branches;
-`mixture_moments` and `interference_gap` expose that split.
+`mixture_moments` gives the mixture's moments.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "analytic_moments",
     "numeric_moments",
     "mixture_moments",
-    "interference_gap",
 ]
 
 GAUSSIAN = "gaussian"
@@ -314,20 +313,3 @@ def mixture_moments(spec: WavepacketSpec,
     var_z = spec.delta0**2 / 2.0 + 4.0 * spec.delta**2 * wp * wm
     var_p = unit.hbar**2 / (2.0 * spec.delta0**2)
     return MomentSet(mean_z, 0.0, var_z, var_p, 0.0)
-
-
-def interference_gap(spec: WavepacketSpec, observable: str,
-                     unit: UnitSystem = DEFAULT_UNITS) -> float:
-    """Pure-state mean minus mixture mean: the purely quantum contribution.
-
-    `observable` selects "position" or "momentum". The momentum gap is
-    the full interference momentum (the mixture carries none); the
-    position gap comes from the overlap term in the normalization.
-    """
-    pure = analytic_moments(spec, unit)
-    mixed = mixture_moments(spec, unit)
-    if observable == "position":
-        return pure.mean_z - mixed.mean_z
-    if observable == "momentum":
-        return pure.mean_p - mixed.mean_p
-    raise PreconditionError(f"unknown observable {observable!r}")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfall import (
+    ACCELERATED_FRAME,
     DEFAULT_CONFIG_TEXT,
     GRAVITY,
     STATE_FAMILIES,
@@ -419,7 +420,7 @@ def test_same_size_drops_share_one_loop(monkeypatch):
     cat = Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(1, 1))
     run_decoherence_comparison(config_for([cat]))
     run_equivalence_test(config_for([gaussian_particle()]))
-    assert [len(rows) for rows in sizes] == [3, 3]
+    assert [len(rows) for rows in sizes] == [3, 2]
     assert all(len(set(rows)) == 1 for rows in sizes)
 
 
@@ -428,7 +429,7 @@ def test_runs_with_snapshots_keep_their_own_loop(monkeypatch, tmp_path):
     solver = SolverSettings(time_steps=1024, snapshot_stride=512)
     report = run_equivalence_test(config_for(
         [gaussian_particle()], solver=solver, output_dir=str(tmp_path)))
-    assert [len(rows) for rows in sizes] == [1, 1, 1]
+    assert [len(rows) for rows in sizes] == [1, 1]
     assert len(report.manifest["snapshots"]) == 3 * 3  # steps 0, 512, 1024
 
 
@@ -466,6 +467,55 @@ def test_drop_pairs_share_a_loop_within_the_size_factor(sized_pairs):
         # keeps it under 4x
         assert all(2.0 <= run["nyquist_headroom"] < 4.0
                    for run in runs.values())
+
+
+def test_default_drop_runs_one_loop(monkeypatch):
+    # planned: cat 1,152 and Gaussian 1,800 points (1.5625x apart)
+    sizes = loop_sizes(monkeypatch)
+    run_galileo_pair(parse_config_text(DEFAULT_CONFIG_TEXT))
+    assert sizes == [[1800, 1800]]
+
+
+def test_equal_solver_inputs_are_solved_once(monkeypatch):
+    sizes = loop_sizes(monkeypatch)
+    config = drop_pair(1.5)  # cat and Gaussian, with the a = 2g control
+    shared = run_equivalence_test(config)
+    assert sizes == [[1250, 1250, 1250]]
+    assert {name: run.get("solved_with")
+            for name, run in shared.manifest["runs"].items()} == {
+        "particle1_gravity": None,
+        "particle1_accelerated_frame": "particle1_gravity",
+        "control_accelerated_frame": None,
+        "particle2_gravity": None,
+        "particle2_accelerated_frame": "particle2_gravity"}
+    monkeypatch.setattr(experiments, "_solver_inputs", lambda drop: drop.name)
+    apart = run_equivalence_test(config)
+    assert [len(rows) for rows in sizes[1:]] == [5]
+    assert all("solved_with" not in run
+               for run in apart.manifest["runs"].values())
+    for a, b in ((shared.records, apart.records),
+                 (shared.summary, apart.summary)):
+        assert json.dumps(a) == json.dumps(b)  # bitwise, NaN included
+
+
+def test_a_mode_fault_still_fails_the_equivalence_test(monkeypatch):
+    """Runs are shared by solver inputs, never by mode: a wrong accelerated-
+    frame coupling gives separate solves and a failing identity check."""
+    sizes = loop_sizes(monkeypatch)
+
+    def coupling_mass(params):
+        if params.mode == ACCELERATED_FRAME:
+            return 1.000001 * params.mass.m_inertial
+        return params.mass.m_gravitational
+
+    monkeypatch.setattr(LinearPotentialParams, "coupling_mass",
+                        property(coupling_mass))
+    report = run_equivalence_test(drop_pair(1.5))
+    assert [len(rows) for rows in sizes] == [5]
+    assert report.summary["max_identity_l1"] > 1e-10
+    assert report.summary["passed"] is False
+    assert all("solved_with" not in run
+               for run in report.manifest["runs"].values())
 
 
 @pytest.mark.parametrize("mass", [1.5, 16.0])

@@ -13,7 +13,6 @@ from qfall import (
     WavepacketSpec,
     analytic_moments,
     build_wavefunction,
-    interference_gap,
     make_grid,
     mixture_moments,
     norm,
@@ -258,32 +257,30 @@ def test_mixture_equal_weights():
 def test_mixture_undefined_for_gaussian():
     with pytest.raises(PreconditionError):
         mixture_moments(WavepacketSpec.gaussian(0.0, 1.0))
-    with pytest.raises(PreconditionError):
-        interference_gap(WavepacketSpec.gaussian(0.0, 1.0), "momentum")
+
+
+def pure_minus_mixture(spec):
+    """Pure-state minus mixture (<z>, <p>): the interference contribution."""
+    pure, mixed = analytic_moments(spec), mixture_moments(spec)
+    return pure.mean_z - mixed.mean_z, pure.mean_p - mixed.mean_p
 
 
 def test_momentum_gap_is_full_interference_momentum():
     spec = WavepacketSpec.yurke_stoler(0.0, 1.0, 1.0)
-    gap = interference_gap(spec, "momentum")
+    gap = pure_minus_mixture(spec)[1]
     assert math.isclose(gap, analytic_moments(spec).mean_p, rel_tol=1e-15)
     assert abs(gap - math.exp(-1.0)) <= 1e-15  # hbar w / delta0 at theta=pi/2
 
 
 def test_momentum_gap_vanishes_at_zero_phase():
-    assert interference_gap(WavepacketSpec.male_cat(0, 1, 1), "momentum") == 0.0
+    assert pure_minus_mixture(WavepacketSpec.male_cat(0, 1, 1))[1] == 0.0
 
 
 def test_position_gap():
     equal = WavepacketSpec.yurke_stoler(0.0, 1.0, 1.0)
-    assert interference_gap(equal, "position") == 0.0
+    assert pure_minus_mixture(equal)[0] == 0.0
     skew = WavepacketSpec.cat(0.0, 1.0, 1.0, 0.9, 0.3)
     p, m = 0.81, 0.09
     q = p + m + 2.0 * 0.9 * 0.3 * math.exp(-1.0)
     expected = -1.0 * (p - m) / q + (p - m) / (p + m)
-    assert math.isclose(interference_gap(skew, "position"), expected,
-                        rel_tol=1e-12)
-
-
-def test_interference_gap_unknown_observable():
-    with pytest.raises(PreconditionError):
-        interference_gap(WavepacketSpec.male_cat(0, 1, 1), "energy")
+    assert math.isclose(pure_minus_mixture(skew)[0], expected, rel_tol=1e-12)
