@@ -124,6 +124,7 @@ class EvolutionResult:
     final_field: GridField
     params: LinearPotentialParams
     dt: float
+    nyquist_headroom: float  # hbar k_max over the momentum the run acquires
     probe_z: float | None = None
     probe_current: np.ndarray | None = None
     snapshot_times: np.ndarray | None = None
@@ -242,7 +243,8 @@ def split_step_evolve_many(initials, params, dts, n_steps,
     an initial field is not unit-norm (to 1e-6), :class:`ConfigurationError`
     if the runs differ in n_points or n_steps, a probe is off its grid, or
     a grid cannot represent the momentum its run acquires (from the initial
-    <p> and var_p) with a factor ``nyquist_margin`` to spare, and
+    <p> and var_p) with a factor ``nyquist_margin`` to spare (the factor it
+    has is the result's ``nyquist_headroom``), and
     :class:`BoundaryBreachError` (with the step and the run's row) if
     probability reaches the domain edges mid-run.
     """
@@ -280,11 +282,13 @@ def split_step_evolve_many(initials, params, dts, n_steps,
     spectrum = np.fft.fft(chi)
     initial_moments = [spectral_moments(c, s, grid, hbar, shift) for c, s, grid,
                        shift in zip(chi, spectrum, grids, p_shifts)]
+    headrooms = []
     for grid, par, dt, probe_z, m0 in zip(grids, params, dts, probe_zs,
                                           initial_moments):
         p_reach = abs(m0.mean_p) + par.force * abs(dt) * steps \
             + 5.0 * math.sqrt(m0.var_p)
-        if hbar * grid.k_max < nyquist_margin * p_reach:
+        headrooms.append(hbar * grid.k_max / p_reach)
+        if headrooms[-1] < nyquist_margin:
             raise ConfigurationError(
                 f"grid resolves momenta up to {hbar * grid.k_max:.4g} but the "
                 f"run acquires {p_reach:.4g} (margin {nyquist_margin}); "
@@ -345,7 +349,8 @@ def split_step_evolve_many(initials, params, dts, n_steps,
         final_moments=spectral_moments(chi[r], spectrum[r], grid, hbar,
                                        p_shifts[r]),
         final_field=GridField(grid, half_kick[r] * chi[r]),
-        params=params[r], dt=dt, probe_z=probe_zs[r],
+        params=params[r], dt=dt, nyquist_headroom=headrooms[r],
+        probe_z=probe_zs[r],
         probe_current=None if weights[r] is None else currents[r],
         snapshot_times=snapped * dt if snaps else None,
         snapshot_fields=[fields[r] for fields in snaps] or None,

@@ -27,6 +27,7 @@ from .core import (DEFAULT_UNITS, MassPair, SpatialGrid, UnitSystem,
 from .errors import BoundaryBreachError, ConfigurationError, PreconditionError
 from .evolve import (
     ACCELERATED_FRAME,
+    GRAVITY,
     LinearPotentialParams,
     dump_snapshots,
     moment_evolution,
@@ -43,8 +44,8 @@ from .states import (
 from .tof import (
     WINDOW_SIGMAS,
     asymptotic_sigma_tof,
+    _arrival_windows,
     crossing_spread,
-    current_tof_distribution,
     distribution_distance,
     distribution_from_current,
     ehrenfest_tof,
@@ -232,37 +233,26 @@ def plan_domain(entries, z_detector: float, t_final: float,
     return make_grid(z_bot, z_top, n)
 
 
-def _grid_for(entries, t_final, config: ExperimentConfig) -> SpatialGrid:
-    """The planned domain for `entries`, or the config's explicit grid."""
-    if config.grid.auto:
-        return plan_domain(entries, config.z_detector, t_final, config.unit,
-                           config.grid.max_points)
-    return make_grid(config.grid.z_min, config.grid.z_max, config.grid.n_points)
-
-
-def _run_length(crossing, config: ExperimentConfig) -> float:
-    """Total simulated time: the (t_cross, sigma) of `crossing_spread` plus
-    the upper window edge with slack."""
-    t_cross, sigma = crossing
-    return t_cross + 1.08 * config.solver.window_sigmas * sigma
-
-
 # A planned split-operator drop: its run name and record label, state and
 # parameters, closed-form crossing (t_cross, sigma), grid and time step.
 _Drop = namedtuple("_Drop", "name label spec params crossing grid dt")
 
 
-def _plan(label: str, spec: WavepacketSpec, params: LinearPotentialParams,
-          config: ExperimentConfig, grid: SpatialGrid | None = None) -> _Drop:
-    """Plan a drop named `<label>_<mode>`: its crossing, taken once, sets the
-    run length and clock, and its own domain unless `grid` is given."""
-    crossing = crossing_spread(analytic_moments(spec, config.unit), params,
-                               config.z_detector)
-    t_final = _run_length(crossing, config)
-    if grid is None:
-        grid = _grid_for([(spec, params)], t_final, config)
-    return _Drop(f"{label}_{params.mode}", label, spec, params, crossing, grid,
-                 t_final / config.solver.time_steps)
+def _plan(entries, config: ExperimentConfig) -> list[_Drop]:
+    """Plan (label, spec, params) drops named `<label>_<mode>` on one clock and
+    one domain, planned or the config's explicit grid. Each crossing is taken
+    once; the run lasts until the latest upper window edge, with slack."""
+    crossings = [crossing_spread(analytic_moments(spec, config.unit), params,
+                                 config.z_detector) for _, spec, params in entries]
+    t_final = max(t + 1.08 * config.solver.window_sigmas * sigma
+                  for t, sigma in crossings)
+    grid = (plan_domain([entry[1:] for entry in entries], config.z_detector,
+                        t_final, config.unit, config.grid.max_points)
+            if config.grid.auto else make_grid(
+                config.grid.z_min, config.grid.z_max, config.grid.n_points))
+    return [_Drop(f"{label}_{params.mode}", label, spec, params, crossing, grid,
+                  t_final / config.solver.time_steps)
+            for (label, spec, params), crossing in zip(entries, crossings)]
 
 
 # A drop runs on its own domain at the largest planned size of its experiment
@@ -321,8 +311,7 @@ def _drop_record(drop: _Drop, result, config: ExperimentConfig,
     """Log the run of `drop` and its arrival density to `log`; returns the
     per-run record and the density."""
     log.solved(result, config, drop.name)
-    dist = current_tof_distribution(result, drop.params, config.z_detector,
-                                    config.solver.window_sigmas)
+    dist = _arrival(result.times, result.probe_current, [drop], config)
     log.arrived(dist, drop.name)
     spec, mass = drop.spec, drop.params.mass
     return {
@@ -349,6 +338,13 @@ def _drop_record(drop: _Drop, result, config: ExperimentConfig,
     }, dist
 
 
+def _arrival(times, current, drops: list[_Drop], config: ExperimentConfig):
+    """The arrival density of the probe `current` in the window spanned by the
+    planned crossings of `drops`."""
+    return distribution_from_current(times, current, *_arrival_windows(
+        [drop.crossing for drop in drops], config.solver.window_sigmas))
+
+
 # The bound on a solver run's norm drift max |1 - norm| (acceptance
 # criterion 7); the split-step solver is unitary, so a larger drift means
 # the run cannot be trusted.
@@ -366,18 +362,15 @@ class _RunLog:
     results: dict = field(default_factory=dict, repr=False)
 
     def solved(self, result, config: ExperimentConfig, name: str) -> None:
-        """Log solver run `name`, write its snapshots to
+        """Log solver run `name`, write the snapshots of its first run to
         <output_dir>/snapshots/<name>, and warn on its norm drift."""
-        m0, grid = result.initial_moments, result.final_field.grid
-        p_reach = (abs(m0.mean_p) + result.params.force * abs(result.times[-1])
-                   + 5.0 * math.sqrt(m0.var_p))  # as in the Nyquist check
-        self.runs[name] = {"grid_points": grid.n_points, "nyquist_headroom":
-                           config.unit.hbar * grid.k_max / p_reach}
+        self.runs[name] = {"grid_points": result.final_field.grid.n_points,
+                           "nyquist_headroom": result.nyquist_headroom}
         self.results[name] = result
         first = next(run for run, res in self.results.items() if res is result)
         if first != name:
             self.runs[name]["solved_with"] = first
-        if result.snapshot_fields:
+        elif result.snapshot_fields:
             out = Path(config.output_dir)
             self.snapshots += [
                 path.relative_to(out).as_posix() for path in dump_snapshots(
@@ -495,9 +488,10 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
             "preparation")
 
     digest = config.digest()
-    drops = [_plan(f"particle{idx}", p.spec,
-                   LinearPotentialParams(p.mass, config.field_strength), config)
-             for idx, p in enumerate((p1, p2), start=1)]
+    drops = []
+    for idx, p in enumerate((p1, p2), start=1):  # each on its own domain
+        drops += _plan([(f"particle{idx}", p.spec, LinearPotentialParams(
+            p.mass, config.field_strength))], config)
     records, distributions, log = [], {}, _RunLog()
     for drop, result in zip(drops, _solve(drops, config)):
         rec, dist = _drop_record(drop, result, config, log)
@@ -547,14 +541,13 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
     drops = []
     for idx, particle in enumerate(config.particles, start=1):
         label, spec, mass = f"particle{idx}", particle.spec, particle.mass
-        grav = _plan(label, spec,
-                     LinearPotentialParams(mass, config.field_strength), config)
-        drops += [grav, _plan(label, spec, LinearPotentialParams(
-            mass, config.field_strength, ACCELERATED_FRAME), config, grav.grid)]
+        drops += _plan([(label, spec, LinearPotentialParams(
+            mass, config.field_strength, mode))
+            for mode in (GRAVITY, ACCELERATED_FRAME)], config)
         if idx == 1 and config.accel_factor > 0:
-            drops.append(_plan("control", spec, LinearPotentialParams(
+            drops += _plan([("control", spec, LinearPotentialParams(
                 mass, config.accel_factor * config.field_strength,
-                ACCELERATED_FRAME), config))
+                ACCELERATED_FRAME))], config)
     log = _RunLog()
     built = iter([_drop_record(drop, result, config, log)
                   for drop, result in zip(drops, _solve(drops, config))])
@@ -672,34 +665,25 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
     params = LinearPotentialParams(mass, config.field_strength)
 
     lo, hi = spec.peak_centers()
-    branch_plus = WavepacketSpec.gaussian(lo, spec.delta0)
-    branch_minus = WavepacketSpec.gaussian(hi, spec.delta0)
     wp = abs(spec.c_plus) ** 2 / (abs(spec.c_plus) ** 2 + abs(spec.c_minus) ** 2)
     wm = 1.0 - wp
 
     # Shared clock and domain so branch currents superpose sample by sample.
-    specs = [spec, branch_plus, branch_minus]
-    crossings = [crossing_spread(analytic_moments(s, unit), params,
-                                 config.z_detector) for s in specs]
-    t_final = max(_run_length(c, config) for c in crossings)
-    grid = _grid_for([(s, params) for s in specs], t_final, config)
-    dt = t_final / config.solver.time_steps
-    drops = [_Drop(name, name, s, params, c, grid, dt) for name, s, c in
-             zip(("pure", "branch_plus", "branch_minus"), specs, crossings)]
+    drops = [drop._replace(name=drop.label) for drop in _plan([
+        ("pure", spec, params),
+        ("branch_plus", WavepacketSpec.gaussian(lo, spec.delta0), params),
+        ("branch_minus", WavepacketSpec.gaussian(hi, spec.delta0), params)],
+        config)]
+    dt = drops[0].dt
     log = _RunLog()
     res_pure, res_plus, res_minus = results = _solve(drops, config)
     for drop, result in zip(drops, results):
         log.solved(result, config, drop.name)
 
-    dist_pure = current_tof_distribution(res_pure, params, config.z_detector,
-                                         config.solver.window_sigmas)
+    dist_pure = _arrival(res_pure.times, res_pure.probe_current, drops[:1],
+                         config)
     mixed_current = wp * res_plus.probe_current + wm * res_minus.probe_current
-    sigmas = config.solver.window_sigmas
-    window = (max(0.0, min(t - sigmas * sig for t, sig in crossings[1:])),
-              max(t + sigmas * sig for t, sig in crossings[1:]))
-    wide = (0.0, float(res_plus.times[-1]))
-    dist_mixed = distribution_from_current(res_plus.times, mixed_current,
-                                           window, wide)
+    dist_mixed = _arrival(res_plus.times, mixed_current, drops[1:], config)
     log.arrived(dist_pure, "pure")
     log.arrived(dist_mixed, "mixture")
 

@@ -5,7 +5,7 @@ when their mean positions coincide and their mean velocities <p>/m_i
 coincide. For cat states the mean velocity is carried entirely by the
 interference term, so the relative phase theta is the natural knob: on
 the principal branch theta in [-pi/2, pi/2] the velocity is monotone in
-theta and a bisection solve is exact business.
+theta, and both the phase and the center follow in closed form.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ __all__ = [
     "match_second_particle",
     "velocity_bound",
 ]
-
-# Matching iterates position and phase to this relative tolerance.
-_JOINT_TOL = 1e-10
-_MAX_ITERATIONS = 50
-
 
 @dataclass(frozen=True)
 class MatchReport:
@@ -72,13 +67,6 @@ def _velocity_amplitude(family: WavepacketSpec, mass: MassPair,
     return 2.0 * unit.hbar * (family.delta / family.delta0**2) * w * mod / mass.m_inertial
 
 
-def _family_velocity(family: WavepacketSpec, mass: MassPair, theta: float,
-                     unit: UnitSystem) -> float:
-    p, m, _, _, w = _coefficient_terms(family)
-    q = p + m + 2.0 * math.sqrt(p * m) * w * math.cos(theta)
-    return _velocity_amplitude(family, mass, unit) * math.sin(theta) / q
-
-
 def velocity_bound(family: WavepacketSpec, mass: MassPair,
                    unit: UnitSystem = DEFAULT_UNITS) -> float:
     """Largest |mean velocity| reachable on the theta in [-pi/2, pi/2] branch.
@@ -105,19 +93,21 @@ def match_second_particle(spec1: WavepacketSpec, mass1: MassPair,
     """Gauge (z0, theta) of the second family to meet the Galilean target.
 
     `family2` fixes the geometry (delta, delta0) and the coefficient
-    moduli; only the center and the relative phase are solved for. The
-    phase is found by bisection on the monotone branch [-pi/2, pi/2]
-    (tie-break: smallest |theta|), the center then follows in closed form
-    from the mean-position formula; the two are iterated to joint
-    tolerance because the mean position couples weakly through the
-    normalization. Velocities outside the branch's reach raise
-    :class:`InfeasibleTargetError` carrying the reachable bound.
+    moduli; only the center and the relative phase are solved for, both in
+    closed form. On the branch theta in [-pi/2, pi/2] the velocity
+    v(theta) = A sin(theta) / (a + b cos(theta)), with a = P + M and
+    b = 2 sqrt(P M) w, is monotone, so v(theta) = v* has the one root
+    theta = atan2(v* b, A) + asin(v* a / hypot(A, v* b)). The mean
+    position is z0 - D (P - M) / Q(theta) and Q does not depend on z0, so
+    one shift of the center meets the target. Velocities outside the
+    branch's reach raise :class:`InfeasibleTargetError` carrying the
+    reachable bound.
     """
     mom1 = analytic_moments(spec1, unit)
     target_z, target_v = mom1.mean_z, mom1.mean_p / mass1.m_inertial
-    vel_scale = unit.hbar / (unit.m_ref * family2.delta0)
 
     if family2.kind == GAUSSIAN:
+        vel_scale = unit.hbar / (unit.m_ref * family2.delta0)
         if abs(target_v) > 1e-12 * vel_scale:
             raise InfeasibleTargetError(
                 "Gaussian family carries zero mean velocity", v_max=0.0)
@@ -129,46 +119,11 @@ def match_second_particle(spec1: WavepacketSpec, mass1: MassPair,
             f"target velocity {target_v!r} beyond the reachable branch",
             v_max=v_max)
 
-    theta = _solve_theta(family2, mass2, target_v, vel_scale, unit)
-    z0 = target_z
-    spec2 = _with_theta(family2, z0, theta)
-    for _ in range(_MAX_ITERATIONS):
-        mom = analytic_moments(spec2, unit)
-        dz = target_z - mom.mean_z
-        dv = target_v - mom.mean_p / mass2.m_inertial
-        if abs(dz) <= _JOINT_TOL * family2.delta0 and abs(dv) <= _JOINT_TOL * vel_scale:
-            break
-        z0 += dz
-        spec2 = _with_theta(family2, z0, theta)
-    return spec2
-
-
-def _solve_theta(family: WavepacketSpec, mass: MassPair, v_target: float,
-                 vel_scale: float, unit: UnitSystem) -> float:
-    """Bisect v(theta) = v_target on [-pi/2, pi/2]; v is monotone there."""
-    if v_target == 0.0:
-        return 0.0
-
-    def f(theta):
-        return _family_velocity(family, mass, theta, unit) - v_target
-
-    lo, hi = -math.pi / 2.0, math.pi / 2.0
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:  # exact endpoint hit: |v_target| == v_max
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo > 0.0 or fhi < 0.0:
-        raise InfeasibleTargetError(
-            f"target velocity {v_target!r} beyond the reachable branch",
-            v_max=velocity_bound(family, mass, unit))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= 1e-14 * vel_scale or (hi - lo) < 1e-16:
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    p, m, _, _, w = _coefficient_terms(family2)
+    a, b = p + m, 2.0 * math.sqrt(p * m) * w
+    amp = _velocity_amplitude(family2, mass2, unit)
+    theta = 0.0 if target_v == 0.0 else math.atan2(target_v * b, amp) + math.asin(
+        min(1.0, max(-1.0, target_v * a / math.hypot(amp, target_v * b))))
+    theta = min(math.pi / 2.0, max(-math.pi / 2.0, theta))  # roundoff at the bound
+    z0 = target_z + family2.delta * (p - m) / (a + b * math.cos(theta))
+    return _with_theta(family2, z0, theta)

@@ -291,13 +291,19 @@ def current_tof_distribution(result: EvolutionResult,
     if abs(result.probe_z - z_detector) > 0.5 * dz:
         raise PreconditionError(
             f"run probed the current at {result.probe_z}, not at {z_detector}")
-    t_cross, sigma = crossing_spread(result.initial_moments, params,
-                                     z_detector)
-    window = (max(0.0, t_cross - window_sigmas * sigma),
-              t_cross + window_sigmas * sigma)
-    wide = (t_cross - EXTENDED_SIGMAS * sigma, t_cross + EXTENDED_SIGMAS * sigma)
+    crossing = crossing_spread(result.initial_moments, params, z_detector)
     return distribution_from_current(result.times, result.probe_current,
-                                     window, wide)
+                                     *_arrival_windows([crossing], window_sigmas))
+
+
+def _arrival_windows(crossings, window_sigmas: float) -> tuple:
+    """(window, extended window) of an arrival density: the span of every
+    (t_cross, sigma) crossing plus/minus ``window_sigmas`` spreads, and
+    plus/minus ``EXTENDED_SIGMAS`` spreads, both clipped at t = 0."""
+    def span(sigmas: float) -> tuple[float, float]:
+        return (max(0.0, min(t - sigmas * s for t, s in crossings)),
+                max(t + sigmas * s for t, s in crossings))
+    return span(window_sigmas), span(EXTENDED_SIGMAS)
 
 
 def distribution_distance(d1: TofDistribution, d2: TofDistribution,

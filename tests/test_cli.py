@@ -204,10 +204,10 @@ def snapshot_run(tmp_path, command, text):
     return dirs, on_disk, manifest["snapshots"]
 
 
-def test_ep_test_snapshots_one_directory_per_run(tmp_path, capsys):
+def test_ep_test_snapshots_one_directory_per_solve(tmp_path, capsys):
+    # each accelerated-frame run shares its gravity run's solve and snapshots
     dirs, on_disk, listed = snapshot_run(tmp_path, "ep-test", SMALL_DROP)
-    assert dirs == {"particle1_gravity", "particle1_accelerated_frame",
-                    "particle2_gravity", "particle2_accelerated_frame",
+    assert dirs == {"particle1_gravity", "particle2_gravity",
                     "control_accelerated_frame"}
     assert on_disk and sorted(on_disk) == sorted(listed)
 

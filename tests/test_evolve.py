@@ -230,6 +230,19 @@ def test_nyquist_guard():
         split_step_evolve(field0, params_g(g=100.0), 0.01, 1000)
 
 
+def test_nyquist_headroom_is_the_guarded_quantity():
+    spec = WavepacketSpec.gaussian(0.0, 1.0)
+    field0 = build_wavefunction(spec, make_grid(-20.0, 20.0, 1024))
+    headroom = split_step_evolve(field0, params_g(), 0.01, 100,
+                                 record_stride=100).nyquist_headroom
+    assert headroom > 2.0  # the default margin
+    split_step_evolve(field0, params_g(), 0.01, 100, record_stride=100,
+                      nyquist_margin=headroom)
+    with pytest.raises(ConfigurationError):
+        split_step_evolve(field0, params_g(), 0.01, 100, record_stride=100,
+                          nyquist_margin=headroom * (1.0 + 1e-12))
+
+
 def test_default_timestep():
     assert default_timestep(4.096) == 0.001
     with pytest.raises(PreconditionError):

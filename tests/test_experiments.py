@@ -362,6 +362,55 @@ def test_manifest_warns_on_norm_drift_and_low_capture(
     assert len(warnings) == len(norm_runs) + len(capture_runs)
 
 
+@pytest.fixture(scope="module")
+def default_drop_runs():
+    """(config, report, solver runs) of the default drop."""
+    config = parse_config_text(DEFAULT_CONFIG_TEXT)
+    runs = []
+
+    def kept(*args, **kwargs):
+        runs.extend(split_step_evolve_many(*args, **kwargs))
+        return runs[-len(args[0]):]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "split_step_evolve_many", kept)
+        return config, run_galileo_pair(config), runs
+
+
+def test_drop_density_is_the_current_distribution_of_its_run(default_drop_runs):
+    # the window comes from the planned crossing, not the run's numeric
+    # moments, and selects the same samples
+    config, report, runs = default_drop_runs
+    assert len(runs) == 2
+    for run, dist in zip(runs, report.distributions.values()):
+        own = current_tof_distribution(run, run.params, config.z_detector,
+                                       config.solver.window_sigmas)
+        assert dist.times.tobytes() == own.times.tobytes()
+        assert dist.density.tobytes() == own.density.tobytes()
+
+
+def test_manifest_headroom_is_the_solver_headroom(default_drop_runs):
+    _, report, runs = default_drop_runs
+    logged = report.manifest["runs"]
+    assert [logged[f"particle{i}_gravity"]["nyquist_headroom"]
+            for i in (1, 2)] == [run.nyquist_headroom for run in runs]
+
+
+def test_mixture_widens_to_the_branch_union(monkeypatch):
+    # tall and heavy, so the 16-sigma union starts after release
+    monkeypatch.setattr(tof, "CAPTURE_THRESHOLD", 2.0)  # no window meets it
+    spec, mass = WavepacketSpec.male_cat(18.0, 1.0, 1.0), MassPair(4, 4)
+    report = run_decoherence_comparison(config_for([Particle(spec, mass)]))
+    params = LinearPotentialParams(mass, 1.0)
+    crossings = [tof.crossing_spread(analytic_moments(WavepacketSpec.gaussian(
+        center, 1.0)), params, 0.0) for center in spec.peak_centers()]
+    t_end = report.records[0]["dt"] * FAST_SOLVER.time_steps
+    start = min(t - 16.0 * sigma for t, sigma in crossings)
+    assert start > 0.0
+    assert report.distributions["mixture"].window == (
+        start, min(t_end, max(t + 16.0 * sigma for t, sigma in crossings)))
+
+
 def test_default_drop_has_no_warnings():
     report = run_galileo_pair(parse_config_text(DEFAULT_CONFIG_TEXT))
     assert report.manifest["warnings"] == []
@@ -430,7 +479,9 @@ def test_runs_with_snapshots_keep_their_own_loop(monkeypatch, tmp_path):
     report = run_equivalence_test(config_for(
         [gaussian_particle()], solver=solver, output_dir=str(tmp_path)))
     assert [len(rows) for rows in sizes] == [1, 1]
-    assert len(report.manifest["snapshots"]) == 3 * 3  # steps 0, 512, 1024
+    # steps 0, 512, 1024 of the two solves; the accelerated-frame run shares
+    # the gravity run's solve and its snapshots (`solved_with`)
+    assert len(report.manifest["snapshots"]) == 2 * 3
 
 
 def drop_pair(mass):

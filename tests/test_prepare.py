@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qfall import (
     InfeasibleTargetError,
@@ -142,3 +144,37 @@ def test_randomized_feasible_matrix():
         spec2 = match_second_particle(spec1, mass1, family, mass2)
         assert check_matched(spec1, mass1, spec2, mass2, tol=1e-9)
         done += 1
+
+
+def test_target_at_the_bound_within_roundoff_matches_at_quarter_phase():
+    # v* / v_max - 1 = 2.2e-16: inside the bound's 1e-12 slack, so it must
+    # match at the branch end rather than raise
+    spec1, mass1 = WavepacketSpec.yurke_stoler(0, 1, 1), MassPair(1 - 1.2e-16, 1)
+    family, mass2 = WavepacketSpec.male_cat(0, 1, 1), MassPair(1, 1)
+    spec2 = match_second_particle(spec1, mass1, family, mass2)
+    assert abs(spec2.theta - math.pi / 2) <= 1e-12
+    assert check_matched(spec1, mass1, spec2, mass2, tol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), f=st.floats(-1.0, 1.0))
+@example(seed=29, f=-1.0)  # seed 29: f * v_max rounds past the branch end
+@example(seed=29, f=0.0)
+@example(seed=29, f=1.0)
+def test_any_target_on_the_branch_matches_on_the_branch(seed, f):
+    # targets f * v_max, from a Yurke-Stoler cat moving up or down (or a
+    # resting male cat) whose inertial mass scales its velocity
+    assume(f == 0.0 or abs(f) > 1e-9)
+    rng = np.random.default_rng(seed)
+    family = random_cat(rng)
+    mass2 = MassPair(rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0))
+    r = 1.0 / math.sqrt(2.0)
+    if f == 0.0:
+        spec1, mass1 = WavepacketSpec.male_cat(1.0, 1.0, 1.0), MassPair(1, 1)
+    else:
+        spec1 = WavepacketSpec.cat(1.0, 1.0, 1.0, r, math.copysign(r, f) * 1j)
+        p1 = abs(analytic_moments(spec1).mean_p)
+        mass1 = MassPair(p1 / (abs(f) * velocity_bound(family, mass2)), 1.0)
+    spec2 = match_second_particle(spec1, mass1, family, mass2)
+    assert -math.pi / 2 <= spec2.theta <= math.pi / 2
+    assert check_matched(spec1, mass1, spec2, mass2, tol=1e-12)
