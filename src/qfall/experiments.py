@@ -271,11 +271,13 @@ def _solver_inputs(drop: _Drop) -> tuple:
             drop.grid, drop.dt)
 
 
-def _solve(drops: list[_Drop], config: ExperimentConfig) -> list:
-    """The runs of `drops` with the detector probe, in order. Drops with equal
-    `_solver_inputs` share the first one's run. Drops of one size, after the
-    `SHARED_SIZE_FACTOR` rule, are the rows of one loop; a run with snapshots
-    keeps its planned size and a loop of its own."""
+def _solve(drops: list[_Drop], config: ExperimentConfig, log: _RunLog) -> list:
+    """The `(drop, run)` pairs of `drops` with the detector probe, in order,
+    each drop on the grid it was solved on, each run logged to `log`. Drops
+    with equal `_solver_inputs` share the first one's run. Drops of one size,
+    after the `SHARED_SIZE_FACTOR` rule, are the rows of one loop; a run with
+    snapshots keeps its planned size and a loop of its own. Callers read only
+    a run's `times`, `mean_z` and `probe_current`."""
     sizes, drops = {drop.grid.n_points for drop in drops}, list(drops)
     for i, drop in enumerate(drops):
         grid = drop.grid
@@ -303,15 +305,18 @@ def _solve(drops: list[_Drop], config: ExperimentConfig) -> list:
         except BoundaryBreachError as err:
             raise BoundaryBreachError(err.message, err.step_index,
                                       group[err.run].name) from err
-    return [results[first[_solver_inputs(drop)]] for drop in drops]
+    pairs = []
+    for drop in drops:
+        i = first[_solver_inputs(drop)]
+        log.solved(results[i], config, drop.name, drops[i].name)
+        pairs.append((drop, results[i]))
+    return pairs
 
 
-def _drop_record(drop: _Drop, result, config: ExperimentConfig,
-                 log: _RunLog):
-    """Log the run of `drop` and its arrival density to `log`; returns the
-    per-run record and the density."""
-    log.solved(result, config, drop.name)
-    dist = _arrival(result.times, result.probe_current, [drop], config)
+def _drop_record(drop: _Drop, run, config: ExperimentConfig, log: _RunLog):
+    """Log the arrival density of solved `drop` to `log`; returns the per-run
+    record and the density."""
+    dist = _arrival(run.times, run.probe_current, [drop], config)
     log.arrived(dist, drop.name)
     spec, mass = drop.spec, drop.params.mass
     return {
@@ -322,7 +327,7 @@ def _drop_record(drop: _Drop, result, config: ExperimentConfig,
         "state_kind": spec.kind,
         "theta": spec.theta,
         "t_ehrenfest": drop.crossing[0],
-        "t_mean_crossing": mean_crossing_time(result, config.z_detector),
+        "t_mean_crossing": mean_crossing_time(run, config.z_detector),
         "sigma_full": drop.crossing[1],
         "sigma_asymptotic": asymptotic_sigma_tof(spec, drop.params,
                                                  config.unit),
@@ -333,7 +338,7 @@ def _drop_record(drop: _Drop, result, config: ExperimentConfig,
         "capture_fraction": dist.capture_fraction,
         "low_capture_warning": dist.low_capture_warning,
         "dt": drop.dt,
-        "grid_points": result.final_field.grid.n_points,
+        "grid_points": drop.grid.n_points,
         "config_digest": config.digest(),
     }, dist
 
@@ -359,15 +364,14 @@ class _RunLog:
     runs: dict[str, dict] = field(default_factory=dict)
     snapshots: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    results: dict = field(default_factory=dict, repr=False)
 
-    def solved(self, result, config: ExperimentConfig, name: str) -> None:
-        """Log solver run `name`, write the snapshots of its first run to
-        <output_dir>/snapshots/<name>, and warn on its norm drift."""
+    def solved(self, result, config: ExperimentConfig, name: str,
+               first: str) -> None:
+        """Log solver run `name`, solved as run `first`: write the snapshots
+        of a first run to <output_dir>/snapshots/<name>, and warn on the
+        run's norm drift."""
         self.runs[name] = {"grid_points": result.final_field.grid.n_points,
                            "nyquist_headroom": result.nyquist_headroom}
-        self.results[name] = result
-        first = next(run for run, res in self.results.items() if res is result)
         if first != name:
             self.runs[name]["solved_with"] = first
         elif result.snapshot_fields:
@@ -493,8 +497,8 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
         drops += _plan([(f"particle{idx}", p.spec, LinearPotentialParams(
             p.mass, config.field_strength))], config)
     records, distributions, log = [], {}, _RunLog()
-    for drop, result in zip(drops, _solve(drops, config)):
-        rec, dist = _drop_record(drop, result, config, log)
+    for drop, run in _solve(drops, config, log):
+        rec, dist = _drop_record(drop, run, config, log)
         records.append(rec)
         distributions[drop.label] = dist
 
@@ -549,8 +553,8 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
                 mass, config.accel_factor * config.field_strength,
                 ACCELERATED_FRAME))], config)
     log = _RunLog()
-    built = iter([_drop_record(drop, result, config, log)
-                  for drop, result in zip(drops, _solve(drops, config))])
+    built = iter([_drop_record(drop, run, config, log)
+                  for drop, run in _solve(drops, config, log)])
     records, identity_l1, control_l1, distributions = [], [], None, {}
     for idx in range(1, len(config.particles) + 1):
         (rec_g, dist_g), (rec_a, dist_a) = next(built), next(built)
@@ -676,14 +680,11 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
         config)]
     dt = drops[0].dt
     log = _RunLog()
-    res_pure, res_plus, res_minus = results = _solve(drops, config)
-    for drop, result in zip(drops, results):
-        log.solved(result, config, drop.name)
+    (_, pure), (_, plus), (_, minus) = _solve(drops, config, log)
 
-    dist_pure = _arrival(res_pure.times, res_pure.probe_current, drops[:1],
-                         config)
-    mixed_current = wp * res_plus.probe_current + wm * res_minus.probe_current
-    dist_mixed = _arrival(res_plus.times, mixed_current, drops[1:], config)
+    dist_pure = _arrival(pure.times, pure.probe_current, drops[:1], config)
+    mixed_current = wp * plus.probe_current + wm * minus.probe_current
+    dist_mixed = _arrival(plus.times, mixed_current, drops[1:], config)
     log.arrived(dist_pure, "pure")
     log.arrived(dist_mixed, "mixture")
 
