@@ -2,9 +2,8 @@
 
 Everything here is immutable after construction and safe to share between
 concurrent workers. The default unit system is dimensionless: hbar = 1,
-g = 1, with a reference mass and reference packet width both equal to 1.
-Physical (SI) inputs are mapped onto these units through explicit scale
-factors, see :meth:`UnitSystem.from_si`.
+g = 1. Physical (SI) inputs are mapped onto these units through explicit
+scale factors, see :meth:`UnitSystem.from_si`.
 """
 
 from __future__ import annotations
@@ -29,50 +28,50 @@ __all__ = [
 ]
 
 
+def _check_scale(name: str, value: float, zero_ok: bool = False) -> None:
+    """Raise ConfigurationError unless `value` is positive (or zero, with
+    `zero_ok`) with a square that is a finite nonzero double: the formulas
+    square each scale, and ``x ** 2`` overflows with an OverflowError."""
+    if not (value > 0 and 0.0 < value * value < math.inf
+            or zero_ok and value == 0):
+        raise ConfigurationError(
+            f"{name} must be {'zero or ' * zero_ok}positive with a finite "
+            f"nonzero square, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UnitSystem:
     """Simulation units plus optional SI scale factors.
 
-    ``hbar`` and ``g`` set the action and field-strength scales; ``m_ref``
-    and ``delta0_ref`` are the reference mass and reference packet width
-    from which the velocity scale is built.
+    ``hbar`` and ``g`` set the action and field-strength scales.
     """
 
     hbar: float = 1.0
     g: float = 1.0
-    m_ref: float = 1.0
-    delta0_ref: float = 1.0
     # SI value of one simulation unit of length / mass / time (None = not mapped)
     si_length: float | None = None
     si_mass: float | None = None
     si_time: float | None = None
 
     def __post_init__(self):
-        if not (self.hbar > 0):
-            raise ConfigurationError("hbar must be positive")
-        if self.g < 0:
+        _check_scale("hbar", self.hbar)
+        if self.g < 0:  # a scale only as the field strength's default
             raise ConfigurationError("g must be nonnegative")
-        if not (self.m_ref > 0 and self.delta0_ref > 0):
-            raise ConfigurationError("reference mass and width must be positive")
 
     @classmethod
     def from_si(cls, m_ref_si, delta0_ref_si, hbar_si=1.054571817e-34,
                 g_si=9.80665):
         """Build dimensionless units anchored to SI reference scales.
 
-        The simulation uses hbar = 1, m_ref = 1, delta0_ref = 1; the time
-        unit follows as m_ref_si * delta0_ref_si**2 / hbar_si and the field
-        strength g is expressed in the derived acceleration unit.
+        The simulation's units of mass and length are m_ref_si and
+        delta0_ref_si, with hbar = 1; the time unit follows as
+        m_ref_si * delta0_ref_si**2 / hbar_si and the field strength g is
+        expressed in the derived acceleration unit.
         """
         t_si = m_ref_si * delta0_ref_si**2 / hbar_si
         g_sim = g_si * t_si**2 / delta0_ref_si
-        return cls(hbar=1.0, g=g_sim, m_ref=1.0, delta0_ref=1.0,
-                   si_length=delta0_ref_si, si_mass=m_ref_si, si_time=t_si)
-
-    @property
-    def velocity_scale(self) -> float:
-        """hbar / (m_ref * delta0_ref), the natural mean-velocity scale."""
-        return self.hbar / (self.m_ref * self.delta0_ref)
+        return cls(hbar=1.0, g=g_sim, si_length=delta0_ref_si,
+                   si_mass=m_ref_si, si_time=t_si)
 
 
 DEFAULT_UNITS = UnitSystem()
@@ -86,10 +85,9 @@ class MassPair:
     m_gravitational: float
 
     def __post_init__(self):
-        if not (self.m_inertial > 0 and self.m_gravitational > 0):
-            raise ConfigurationError("masses must be strictly positive")
-        if not math.isfinite(self.m_gravitational / self.m_inertial):
-            raise ConfigurationError("mass ratio must be finite")
+        _check_scale("m_inertial", self.m_inertial)
+        _check_scale("m_gravitational", self.m_gravitational)
+        _check_scale("mass ratio", self.m_gravitational / self.m_inertial)
 
     @property
     def ratio(self) -> float:

@@ -36,6 +36,7 @@ from .core import (
     MassPair,
     SpatialGrid,
     UnitSystem,
+    _check_scale,
     boundary_probability,
     norm,
 )
@@ -85,8 +86,7 @@ class LinearPotentialParams:
     mode: str = GRAVITY
 
     def __post_init__(self):
-        if self.field_strength < 0:
-            raise ConfigurationError("field strength must be nonnegative")
+        _check_scale("field strength", self.field_strength, zero_ok=True)
         if self.mode not in (GRAVITY, ACCELERATED_FRAME):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
 
@@ -144,6 +144,8 @@ def moment_evolution(m0: MomentSet, params: LinearPotentialParams,
     """
     if t < 0:
         raise PreconditionError("evolution time must be nonnegative")
+    if t * t == math.inf:
+        raise ConfigurationError(f"evolution time {t!r} overflows its square")
     mi = params.mass.m_inertial
     mean_z = m0.mean_z + m0.mean_p * t / mi - 0.5 * params.g_eff * t**2
     mean_p = m0.mean_p - params.force * t

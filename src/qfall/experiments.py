@@ -23,7 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from .core import (DEFAULT_UNITS, MassPair, SpatialGrid, UnitSystem,
-                   fft_size, make_grid)
+                   _check_scale, fft_size, make_grid)
 from .errors import BoundaryBreachError, ConfigurationError, PreconditionError
 from .evolve import (
     ACCELERATED_FRAME,
@@ -110,8 +110,7 @@ class SolverSettings:
             raise ConfigurationError("record_stride must be >= 1")
         if self.snapshot_stride < 0:
             raise ConfigurationError("snapshot_stride must be >= 0")
-        if not self.window_sigmas > 0:
-            raise ConfigurationError("window_sigmas must be positive")
+        _check_scale("window_sigmas", self.window_sigmas)
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ class SweepSettings:
 
 # The canonical record's [units] keys (the SI scale factors stay out) and its
 # top-level [experiment] keys.
-_UNIT_KEYS = ("hbar", "g", "m_ref", "delta0_ref")
+_UNIT_KEYS = ("hbar", "g")
 _EXPERIMENT_KEYS = ("field_strength", "accel_factor", "z_detector",
                     "auto_match", "match_tol")
 
@@ -154,8 +153,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.particles:
             raise ConfigurationError("at least one particle is required")
-        if self.field_strength <= 0:
-            raise ConfigurationError("field strength must be positive")
+        _check_scale("field strength", self.field_strength)
 
     def canonical_record(self) -> dict:
         """The config as plain data: the digest's input, the manifest's
@@ -225,11 +223,12 @@ def plan_domain(entries, z_detector: float, t_final: float,
         spacings.append(min(np.pi * unit.hbar / (nyquist_margin * p_reach),
                             spec.delta0 / 3.0))
     z_top, z_bot = max(tops), min(bottoms)
-    n = max(fft_size((z_top - z_bot) / min(spacings)), 1024)
-    if n > max_points:
+    need = (z_top - z_bot) / min(spacings)  # inf or nan if a scale overflowed
+    n = max(fft_size(need), 1024) if need <= max_points else need
+    if not n <= max_points:
         raise ConfigurationError(
-            f"run needs {n} grid points, above the cap {max_points}; reduce "
-            "the drop height or coarsen the tolerance")
+            f"run needs {n:.6g} grid points, above the cap {max_points}; "
+            "reduce the drop height or coarsen the tolerance")
     return make_grid(z_bot, z_top, n)
 
 

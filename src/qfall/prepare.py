@@ -44,7 +44,7 @@ def check_matched(spec1: WavepacketSpec, mass1: MassPair,
     """Compare mean positions and mean velocities of two prepared states.
 
     Matched means |<z>_1 - <z>_2| <= tol * delta0 and
-    |<p>_1/m_i1 - <p>_2/m_i2| <= tol * hbar/(m_ref * delta0), with
+    |<p>_1/m_i1 - <p>_2/m_i2| <= tol * hbar / delta0, with
     delta0 the larger of the two packet widths. Residuals are always
     reported.
     """
@@ -52,7 +52,7 @@ def check_matched(spec1: WavepacketSpec, mass1: MassPair,
     m2 = analytic_moments(spec2, unit)
     d0 = max(spec1.delta0, spec2.delta0)
     pos_scale = d0
-    vel_scale = unit.hbar / (unit.m_ref * d0)
+    vel_scale = unit.hbar / d0
     dpos = abs(m1.mean_z - m2.mean_z)
     dvel = abs(m1.mean_p / mass1.m_inertial - m2.mean_p / mass2.m_inertial)
     matched = dpos <= tol * pos_scale and dvel <= tol * vel_scale
@@ -107,7 +107,7 @@ def match_second_particle(spec1: WavepacketSpec, mass1: MassPair,
     target_z, target_v = mom1.mean_z, mom1.mean_p / mass1.m_inertial
 
     if family2.kind == GAUSSIAN:
-        vel_scale = unit.hbar / (unit.m_ref * family2.delta0)
+        vel_scale = unit.hbar / family2.delta0
         if abs(target_v) > 1e-12 * vel_scale:
             raise InfeasibleTargetError(
                 "Gaussian family carries zero mean velocity", v_max=0.0)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_UNITS, GridField, SpatialGrid, UnitSystem
+from .core import (DEFAULT_UNITS, GridField, SpatialGrid, UnitSystem,
+                   _check_scale)
 from .errors import (
     ConfigurationError,
     DegenerateStateError,
@@ -74,12 +75,12 @@ class WavepacketSpec:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, CAT):
             raise ConfigurationError(f"unknown wavepacket kind {self.kind!r}")
-        if not self.delta0 > 0:
-            raise ConfigurationError("delta0 must be positive")
-        if self.delta < 0:
-            raise ConfigurationError("delta must be nonnegative")
-        if abs(self.c_plus) == 0 and abs(self.c_minus) == 0:
-            raise ConfigurationError("both coefficients are zero")
+        _check_scale("delta0", self.delta0)
+        _check_scale("delta", self.delta, zero_ok=True)
+        _check_scale("delta / delta0", self.delta / self.delta0, zero_ok=True)
+        _check_scale("|c+|^2 + |c-|^2", sum(
+            part * part for c in (self.c_plus, self.c_minus)
+            for part in (c.real, c.imag)))
         gaussian_like = self.delta <= _GAUSSIAN_DELTA_TOL * self.delta0
         if self.kind == GAUSSIAN and not gaussian_like:
             raise ConfigurationError("Gaussian kind requires delta = 0")
@@ -193,8 +194,6 @@ def normalization_constant(spec: WavepacketSpec) -> float:
     """
     p, m, x, _, w = _coefficient_terms(spec)
     denom = p + m + 2.0 * x * w
-    if denom <= _DEGENERACY_TOL * (p + m):
-        raise DegenerateStateError("destructive superposition has vanishing norm")
     return 1.0 / math.sqrt(math.sqrt(math.pi) * spec.delta0 * denom)
 
 
@@ -244,8 +243,6 @@ def analytic_moments(spec: WavepacketSpec,
     hbar = unit.hbar
     p, m, x, y, w = _coefficient_terms(spec)
     q = p + m + 2.0 * x * w
-    if q <= _DEGENERACY_TOL * (p + m):
-        raise DegenerateStateError("destructive superposition has vanishing norm")
     d, d0 = spec.delta, spec.delta0
     mean_z = spec.z0 - d * (p - m) / q
     mean_p = 2.0 * hbar * (d / d0**2) * w * y / q

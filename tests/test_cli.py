@@ -5,6 +5,7 @@ import pytest
 from qfall import ParseError, parse_config, parse_config_text
 from qfall.cli import main
 from qfall.config import DEFAULT_CONFIG_TEXT
+from conftest import EXTREME_CONFIGS, short_default
 
 MINIMAL = """\
 [particle1]
@@ -249,6 +250,18 @@ def test_main_unmatched_pair_exits_2(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert "not matched" in err["message"]
+
+
+@pytest.mark.parametrize("extra,command", EXTREME_CONFIGS)
+def test_main_extreme_finite_values_exit_2(tmp_path, capsys, extra, command):
+    config_path = tmp_path / "extreme.ini"
+    config_path.write_text(short_default(extra))
+    code = main([command, "--config", str(config_path), "--out",
+                 str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] in ("ConfigurationError", "ParseError")
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_bad_snapshot_flag(tmp_path, capsys):

@@ -19,7 +19,8 @@ from qfall import (
 )
 from qfall.config import DEFAULT_CONFIG_TEXT, _render
 
-# The default config text as it was written out by hand, `seed` included.
+# The default config text as it was written out by hand, with the keys since
+# removed: `seed`, `m_ref` and `delta0_ref`.
 FORMER_DEFAULT_TEXT = """\
 [units]
 hbar = 1.0
@@ -76,8 +77,13 @@ def test_default_text_keeps_the_former_default():
 
 
 def test_seed_is_an_unknown_key():
-    with pytest.raises(ParseError, match="unknown key 'seed'"):
-        parse_config_text(FORMER_DEFAULT_TEXT, strict=True)
+    removed = ("seed", "m_ref", "delta0_ref")
+    for key in removed:  # each removed key alone in the former text
+        text = "".join(line for line in FORMER_DEFAULT_TEXT.splitlines(True)
+                       if line.split(" = ")[0] not in removed
+                       or line.startswith(f"{key} = "))
+        with pytest.raises(ParseError, match=f"unknown key '{key}'"):
+            parse_config_text(text, strict=True)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -161,8 +167,7 @@ configs = st.builds(
     ExperimentConfig,
     particles=st.lists(particles(), min_size=1, max_size=3).map(tuple),
     unit=st.builds(UnitSystem, hbar=st.floats(0.1, 10.0),
-                   g=st.floats(0.0, 10.0), m_ref=st.floats(0.1, 10.0),
-                   delta0_ref=st.floats(0.1, 10.0)),
+                   g=st.floats(0.0, 10.0)),
     field_strength=st.floats(0.1, 10.0),
     accel_factor=st.floats(0.0, 5.0),
     z_detector=st.floats(-5.0, 5.0),

@@ -130,13 +130,13 @@ def test_unit_system_validation():
         UnitSystem(hbar=0.0)
     with pytest.raises(ConfigurationError):
         UnitSystem(g=-1.0)
-    assert UnitSystem().velocity_scale == 1.0
+    assert (UnitSystem().hbar, UnitSystem().g) == (1.0, 1.0)
 
 
 def test_unit_system_from_si():
     # cesium-atom-like reference scales
     unit = UnitSystem.from_si(m_ref_si=2.2e-25, delta0_ref_si=1e-6)
-    assert unit.hbar == 1.0 and unit.m_ref == 1.0
+    assert unit.hbar == 1.0 and unit.si_mass == 2.2e-25
     assert unit.g > 0.0
     assert math.isclose(unit.si_time,
                         2.2e-25 * 1e-12 / 1.054571817e-34, rel_tol=1e-12)

@@ -19,6 +19,7 @@ from qfall import (
     MassPair,
     Particle,
     PreconditionError,
+    SimulationError,
     SolverSettings,
     SweepSettings,
     WavepacketSpec,
@@ -38,7 +39,8 @@ from qfall import (
     split_step_evolve_many,
 )
 from qfall import experiments, tof
-from conftest import EPS_RATIO, largest_prime_factor
+from conftest import (EPS_RATIO, EXTREME_CONFIGS, largest_prime_factor,
+                      short_default)
 
 FAST_SOLVER = SolverSettings(time_steps=1024)
 
@@ -439,6 +441,46 @@ def test_config_requires_particles():
 def test_solver_settings_reject_out_of_range(key, value):
     with pytest.raises(ConfigurationError, match=key):
         SolverSettings(**{key: value})
+
+
+RUNNERS = {"drop": run_galileo_pair, "ep-test": run_equivalence_test}
+
+
+@pytest.mark.parametrize("extra,command", EXTREME_CONFIGS)
+def test_extreme_finite_values_raise_configuration_errors(extra, command):
+    with pytest.raises(ConfigurationError):
+        RUNNERS[command](parse_config_text(short_default(extra)))
+
+
+# The float keys an ep-test reads; a [particle] key goes to particle1 or to
+# both particles.
+EP_TEST_FLOAT_KEYS = [
+    ("units", "hbar"), ("units", "g"), ("solver", "window_sigmas"),
+    *(("experiment", key) for key in ("field_strength", "accel_factor",
+                                      "z_detector")),
+    *(("particle", key) for key in (
+        "z0", "delta", "delta0", "c_plus_re", "c_plus_im", "c_minus_re",
+        "c_minus_im", "m_inertial", "m_gravitational")),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(EP_TEST_FLOAT_KEYS), st.floats(-308.0, 308.0),
+       st.sampled_from((1.0, -1.0)), st.booleans())
+def test_one_key_magnitudes_run_or_raise_typed_errors(section_key, exponent,
+                                                      sign, both):
+    """Any finite magnitude of one key either runs an ep-test or raises one
+    of the package's own errors, never an ArithmeticError."""
+    section, key = section_key
+    value = sign * 10.0 ** exponent
+    sections = ([f"particle{i}" for i in (1, 2)[:1 + both]]
+                if section == "particle" else [section])
+    text = short_default("".join(f"[{name}]\n{key} = {value!r}\n"
+                                 for name in sections))
+    try:
+        run_equivalence_test(parse_config_text(text))
+    except SimulationError:
+        pass
 
 
 def test_explicit_grid_settings_used():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfall import (
     ConfigurationError,
@@ -123,6 +125,23 @@ def test_normalization_overlapping_even_cat(wide_grid):
                         rel_tol=1e-15)
     # cross-check by grid quadrature
     assert abs(norm(build_wavefunction(spec, wide_grid)) - 1.0) <= 1e-12
+
+
+# The named cats from strong overlap (delta/delta0 = 0.05, near the
+# destructive end for the odd cat) to separated peaks, and random cats.
+built_cats = st.one_of(
+    st.builds(lambda family, ratio, delta0, z0: getattr(
+        WavepacketSpec, family)(z0, ratio * delta0, delta0),
+        st.sampled_from(("male_cat", "female_cat", "yurke_stoler")),
+        st.floats(0.05, 3.0), st.floats(0.5, 2.0), st.floats(-2.0, 2.0)),
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: random_cat(np.random.default_rng(seed))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_cats)
+def test_built_cats_have_unit_norm(spec):
+    assert abs(1.0 - norm(build_wavefunction(spec, grid_for(spec)))) <= 1e-12
 
 
 # --- analytic moments -------------------------------------------------------
