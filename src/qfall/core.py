@@ -35,8 +35,8 @@ def _check_scale(name: str, value: float, zero_ok: bool = False) -> None:
     if not (value > 0 and 0.0 < value * value < math.inf
             or zero_ok and value == 0):
         raise ConfigurationError(
-            f"{name} must be {'zero or ' * zero_ok}positive with a finite "
-            f"nonzero square, got {value!r}")
+            f"{name} must be {'zero or ' if zero_ok else ''}positive with "
+            f"a finite nonzero square, got {value!r}")
 
 
 @dataclass(frozen=True)
