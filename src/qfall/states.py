@@ -90,9 +90,12 @@ class WavepacketSpec:
         if self.kind == GAUSSIAN and abs(self.c_plus) == 0:
             raise ConfigurationError("Gaussian kind requires c_plus != 0")
         p, m, x, _, w = _coefficient_terms(self)
-        if p + m + 2.0 * x * w <= _DEGENERACY_TOL * (p + m):
+        q = p + m + 2.0 * x * w
+        if q <= _DEGENERACY_TOL * (p + m):
             raise DegenerateStateError(
                 "destructive superposition has vanishing norm")
+        _check_scale("the norm denominator |c+|^2 + |c-|^2 + 2 Re(c+* c-) w",
+                     q)
 
     # --- constructors -------------------------------------------------
 

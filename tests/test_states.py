@@ -53,6 +53,12 @@ def test_degenerate_destructive_superposition_rejected():
         WavepacketSpec.cat(0.0, 5e-8, 1.0, 1.0, -1.0)
 
 
+def test_spec_rejects_norm_denominator_whose_square_underflows():
+    # a near-destructive cat at tiny amplitudes: Q = 2e-172, Q^2 = 0
+    with pytest.raises(ConfigurationError, match="norm denominator"):
+        analytic_moments(WavepacketSpec.cat(0.0, 1e-6, 1.0, 1e-80, -1e-80))
+
+
 def test_theta_values():
     assert WavepacketSpec.male_cat(0, 1, 1).theta == 0.0
     assert math.isclose(WavepacketSpec.female_cat(0, 1, 1).theta, math.pi)
