@@ -145,9 +145,7 @@ def moment_evolution(m0: MomentSet, params: LinearPotentialParams,
     if t < 0:
         raise PreconditionError("evolution time must be nonnegative")
     if t * t == math.inf:
-        raise ConfigurationError(
-            f"evolution time {t!r} overflows its square; shorten the drop "
-            "or strengthen the field")
+        raise ConfigurationError(f"evolution time {t!r} is too long to square")
     mi = params.mass.m_inertial
     mean_z = m0.mean_z + m0.mean_p * t / mi - 0.5 * params.g_eff * t**2
     mean_p = m0.mean_p - params.force * t

@@ -94,8 +94,7 @@ class WavepacketSpec:
         if q <= _DEGENERACY_TOL * (p + m):
             raise DegenerateStateError(
                 "destructive superposition has vanishing norm")
-        _check_scale("the norm denominator |c+|^2 + |c-|^2 + 2 Re(c+* c-) w",
-                     q)
+        _check_scale("the norm denominator Q", q)
 
     # --- constructors -------------------------------------------------
 
