@@ -470,7 +470,7 @@ EP_TEST_FLOAT_KEYS = [
 def test_one_key_magnitudes_run_or_raise_typed_errors(section_key, exponent,
                                                       sign, both):
     """Any finite magnitude of one key either runs an ep-test or raises one
-    of the package's own errors, never an ArithmeticError."""
+    of the package's own errors, never a bare Python or numpy error."""
     section, key = section_key
     value = sign * 10.0 ** exponent
     sections = ([f"particle{i}" for i in (1, 2)[:1 + both]]
