@@ -26,7 +26,7 @@ and the solver is unconditionally norm-preserving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,8 +112,8 @@ class EvolutionResult:
     """Strided record of a split-operator run.
 
     `times`, `mean_z`, `norms` and (optionally) `probe_current` share one
-    stride, `snapshot_fields` their own coarser one. The full moments are
-    kept at release and at the last step, and the final field always.
+    stride. The full moments are kept at release and at the last step, and
+    the final field always.
     """
 
     times: np.ndarray
@@ -127,8 +127,6 @@ class EvolutionResult:
     nyquist_headroom: float  # hbar k_max over the momentum the run acquires
     probe_z: float | None = None
     probe_current: np.ndarray | None = None
-    snapshot_times: np.ndarray | None = None
-    snapshot_fields: list[GridField] | None = field(default=None, repr=False)
 
 
 def moment_evolution(m0: MomentSet, params: LinearPotentialParams,
@@ -201,17 +199,15 @@ def default_timestep(t_total: float, steps: int = 4096) -> float:
 
 
 def split_step_evolve(initial: GridField, params: LinearPotentialParams,
-                      dt: float, n_steps: int, snapshot_stride: int = 0, *,
+                      dt: float, n_steps: int, *,
                       probe_z: float | None = None, **options) -> EvolutionResult:
     """One run: the one-row case of :func:`split_step_evolve_many`, which
     takes the same keyword `options` and documents the scheme and checks."""
-    return split_step_evolve_many([initial], [params], [dt], [n_steps],
-                                  snapshot_stride, probe_zs=[probe_z],
-                                  **options)[0]
+    return split_step_evolve_many([initial], [params], [dt], n_steps,
+                                  probe_zs=[probe_z], **options)[0]
 
 
-def split_step_evolve_many(initials, params, dts, n_steps,
-                           snapshot_stride: int = 0, *,
+def split_step_evolve_many(initials, params, dts, n_steps: int, *,
                            probe_zs, unit: UnitSystem = DEFAULT_UNITS,
                            record_stride: int = 1,
                            boundary_tol: float = BOUNDARY_TOL,
@@ -219,47 +215,44 @@ def split_step_evolve_many(initials, params, dts, n_steps,
                            ) -> list[EvolutionResult]:
     """Strang-split spectral evolution: half kick, full drift, half kick.
 
-    Run r takes n_steps[r] steps of dts[r] from initials[r] under
-    params[r], probing the current at probe_zs[r] (None: no probe). The
-    runs share n_points and n_steps and are the rows of one array, so a
-    step is one kick, one transform pair and one kinetic phase for all of
-    them; each row keeps its own grid, dt, force, probe and record, and
-    equals its solo run bit for bit.
+    Run r takes n_steps steps of dts[r] from initials[r] under params[r],
+    probing the current at probe_zs[r] (None: no probe). The runs share
+    n_points and are the rows of one array, so a step is one kick, one
+    transform pair and one kinetic phase for all of them; each row keeps
+    its own grid, dt, force, probe and record, and equals its solo run bit
+    for bit.
 
     Adjacent half kicks merge: the loop carries chi = exp(+i F z dt / 2
     hbar) psi, and each step is one full kick, a transform, the kinetic
     phase and the inverse transform; the last half kick is applied only to
-    the returned psi (final field and snapshots). Every factor is a pure
-    phase, so the norm is conserved to roundoff.
+    the returned final field. Every factor is a pure phase, so the norm is
+    conserved to roundoff.
 
     The norm, <z> and the probe current are recorded every `record_stride`
     steps from chi and the spectrum the step already holds, with no
     transform; psi is chi boosted by -F dt / 2, which adds
     -(F dt / 2 m) |chi(z_d)|^2 to the current. The full moment sets, whose
     cov_zp costs an inverse transform, are taken at step 0 and at the last
-    step, with <p> shifted by the same boost. Snapshots are kept every
-    `snapshot_stride` steps, rounded to the record stride (0 = none).
-    Negative dt runs the inverse evolution, used for reversibility checks.
+    step, with <p> shifted by the same boost. Negative dt runs the inverse
+    evolution, used for reversibility checks.
 
     Each run is checked on its own. Raises :class:`PreconditionError` if
     an initial field is not unit-norm (to 1e-6), :class:`ConfigurationError`
-    if the runs differ in n_points or n_steps, a probe is off its grid, or
-    a grid cannot represent the momentum its run acquires (from the initial
-    <p> and var_p) with a factor ``nyquist_margin`` to spare (the factor it
-    has is the result's ``nyquist_headroom``), and
+    if the runs differ in n_points, a probe is off its grid, or a grid
+    cannot represent the momentum its run acquires (from the initial <p>
+    and var_p) with a factor ``nyquist_margin`` to spare (the factor it has
+    is the result's ``nyquist_headroom``), and
     :class:`BoundaryBreachError` (with the step and the run's row) if
     probability reaches the domain edges mid-run.
     """
     rows = len(initials)
-    if {len(params), len(dts), len(n_steps), len(probe_zs)} != {rows} \
-            or len({f.grid.n_points for f in initials}) != 1 \
-            or len(set(n_steps)) != 1:
-        raise ConfigurationError("each run needs its params, dt, n_steps and "
-                                 "probe_z, and all share n_points and n_steps")
-    steps = n_steps[0]
+    if {len(params), len(dts), len(probe_zs)} != {rows} \
+            or len({f.grid.n_points for f in initials}) != 1:
+        raise ConfigurationError("each run needs its params, dt and probe_z, "
+                                 "and all share n_points")
     if 0 in dts:
         raise PreconditionError("dt must be nonzero")
-    if steps < 0:
+    if n_steps < 0:
         raise PreconditionError("n_steps must be nonnegative")
     if record_stride < 1:
         raise PreconditionError("record_stride must be >= 1")
@@ -287,7 +280,7 @@ def split_step_evolve_many(initials, params, dts, n_steps,
     headrooms = []
     for grid, par, dt, probe_z, m0 in zip(grids, params, dts, probe_zs,
                                           initial_moments):
-        p_reach = abs(m0.mean_p) + par.force * abs(dt) * steps \
+        p_reach = abs(m0.mean_p) + par.force * abs(dt) * n_steps \
             + 5.0 * math.sqrt(m0.var_p)
         headrooms.append(hbar * grid.k_max / p_reach)
         if headrooms[-1] < nyquist_margin:
@@ -300,11 +293,9 @@ def split_step_evolve_many(initials, params, dts, n_steps,
     weights = [None if probe_z is None else probe_weights(grid, probe_z)
                for grid, probe_z in zip(grids, probe_zs)]
 
-    if snapshot_stride:
-        snapshot_stride = max(1, snapshot_stride // record_stride) * record_stride
-    n_records = steps // record_stride + 1 + (steps % record_stride > 0)
+    n_records = n_steps // record_stride + 1 + (n_steps % record_stride > 0)
     norms, mean_z, currents = np.empty((3, rows, n_records))
-    recorded, snapped, snaps = [], [], []
+    recorded = []
     z_chi = np.empty_like(chi)
     per_row = list(zip(chi, z_chi, spectrum, weights, dzs, params, p_shifts))
 
@@ -319,16 +310,12 @@ def split_step_evolve_many(initials, params, dts, n_steps,
             if w is not None:
                 currents[r, i] = probe_current(w, s, hbar, par.mass.m_inertial,
                                                shift)
-        if snapshot_stride and step % snapshot_stride == 0:
-            snapped.append(step)
-            snaps.append([GridField(grid, h * c)
-                          for grid, h, c in zip(grids, half_kick, chi)])
 
     # The per-row edge test runs when a screen over all rows trips; the
     # screen's margin covers its different summation order.
     screen, dz_max = boundary_tol * (1.0 - 1e-9), max(dzs)
     record(0)
-    for step in range(1, steps + 1):
+    for step in range(1, n_steps + 1):
         chi *= kick
         np.fft.fft(chi, out=spectrum)
         spectrum *= kinetic
@@ -341,10 +328,10 @@ def split_step_evolve_many(initials, params, dts, n_steps,
                     raise BoundaryBreachError(
                         f"probability {edge_prob:.3e} reached the domain edge",
                         step, r)
-        if step % record_stride == 0 or step == steps:
+        if step % record_stride == 0 or step == n_steps:
             record(step)
 
-    recorded, snapped = np.array(recorded), np.array(snapped)
+    recorded = np.array(recorded)
     return [EvolutionResult(
         times=recorded * dt, mean_z=mean_z[r], norms=norms[r],
         initial_moments=initial_moments[r],
@@ -354,8 +341,6 @@ def split_step_evolve_many(initials, params, dts, n_steps,
         params=params[r], dt=dt, nyquist_headroom=headrooms[r],
         probe_z=probe_zs[r],
         probe_current=None if weights[r] is None else currents[r],
-        snapshot_times=snapped * dt if snaps else None,
-        snapshot_fields=[fields[r] for fields in snaps] or None,
     ) for r, (grid, dt) in enumerate(zip(grids, dts))]
 
 
@@ -412,38 +397,32 @@ def refine_timestep(spec: WavepacketSpec, params: LinearPotentialParams,
     return {"dt": dt, "n_steps": n, "errors": errors, "ratios": ratios}
 
 
-def dump_snapshots(result: EvolutionResult, directory, fmt: str = "csv"):
-    """Write stored snapshots as {t, z, Re psi, Im psi} records.
+def dump_snapshots(snapshots, directory, fmt: str = "csv"):
+    """Write (t, field) `snapshots` as {t, z, Re psi, Im psi} records.
 
-    `fmt` selects one CSV file per snapshot or a single .npz bundle.
-    Returns the list of paths written.
+    `fmt` selects one CSV file per snapshot, each written before the next
+    pair is taken from `snapshots`, or a single .npz bundle. Returns the
+    list of paths written.
     """
     from pathlib import Path
 
-    if result.snapshot_fields is None:
-        raise PreconditionError("run was made without snapshots")
+    if fmt not in ("csv", "npz"):
+        raise ConfigurationError(f"unknown snapshot format {fmt!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    if fmt == "csv":
-        for i, (t, fld) in enumerate(zip(result.snapshot_times,
-                                         result.snapshot_fields)):
-            path = directory / f"snapshot_{i:06d}.csv"
-            with open(path, "w") as fh:
-                fh.write("t,z,re_psi,im_psi\n")
-                for zj, aj in zip(fld.grid.points, fld.amplitudes):
-                    fh.write(f"{float(t)!r},{float(zj)!r},"
-                             f"{float(aj.real)!r},{float(aj.imag)!r}\n")
-            paths.append(path)
-    elif fmt == "npz":
+    if fmt == "npz":
+        times, fields = zip(*snapshots)
         path = directory / "snapshots.npz"
-        np.savez(
-            path,
-            times=result.snapshot_times,
-            z=result.snapshot_fields[0].grid.points,
-            psi=np.array([f.amplitudes for f in result.snapshot_fields]),
-        )
+        np.savez(path, times=np.array(times), z=fields[0].grid.points,
+                 psi=np.array([f.amplitudes for f in fields]))
+        return [path]
+    paths = []
+    for i, (t, fld) in enumerate(snapshots):
+        path = directory / f"snapshot_{i:06d}.csv"
+        with open(path, "w") as fh:
+            fh.write("t,z,re_psi,im_psi\n")
+            for zj, aj in zip(fld.grid.points, fld.amplitudes):
+                fh.write(f"{float(t)!r},{float(zj)!r},"
+                         f"{float(aj.real)!r},{float(aj.imag)!r}\n")
         paths.append(path)
-    else:
-        raise ConfigurationError(f"unknown snapshot format {fmt!r}")
     return paths

@@ -30,6 +30,7 @@ from .evolve import (
     GRAVITY,
     LinearPotentialParams,
     dump_snapshots,
+    exact_wavefunction,
     moment_evolution,
     split_step_evolve_many,
 )
@@ -87,12 +88,8 @@ class Particle:
 
 @dataclass(frozen=True)
 class GridSettings:
-    """Explicit domain, or auto-planning from the drop parameters."""
+    """The cap on the size of a grid planned from the drop parameters."""
 
-    auto: bool = True
-    z_min: float = -80.0
-    z_max: float = 20.0
-    n_points: int = 8192
     max_points: int = 2**16
 
 
@@ -239,16 +236,14 @@ _Drop = namedtuple("_Drop", "name label spec params crossing grid dt")
 
 def _plan(entries, config: ExperimentConfig) -> list[_Drop]:
     """Plan (label, spec, params) drops named `<label>_<mode>` on one clock and
-    one domain, planned or the config's explicit grid. Each crossing is taken
-    once; the run lasts until the latest upper window edge, with slack."""
+    one planned domain. Each crossing is taken once; the run lasts until the
+    latest upper window edge, with slack."""
     crossings = [crossing_spread(analytic_moments(spec, config.unit), params,
                                  config.z_detector) for _, spec, params in entries]
     t_final = max(t + 1.08 * config.solver.window_sigmas * sigma
                   for t, sigma in crossings)
-    grid = (plan_domain([entry[1:] for entry in entries], config.z_detector,
-                        t_final, config.unit, config.grid.max_points)
-            if config.grid.auto else make_grid(
-                config.grid.z_min, config.grid.z_max, config.grid.n_points))
+    grid = plan_domain([entry[1:] for entry in entries], config.z_detector,
+                       t_final, config.unit, config.grid.max_points)
     return [_Drop(f"{label}_{params.mode}", label, spec, params, crossing, grid,
                   t_final / config.solver.time_steps)
             for (label, spec, params), crossing in zip(entries, crossings)]
@@ -274,22 +269,20 @@ def _solve(drops: list[_Drop], config: ExperimentConfig, log: _RunLog) -> list:
     """The `(drop, run)` pairs of `drops` with the detector probe, in order,
     each drop on the grid it was solved on, each run logged to `log`. Drops
     with equal `_solver_inputs` share the first one's run. Drops of one size,
-    after the `SHARED_SIZE_FACTOR` rule, are the rows of one loop; a run with
-    snapshots keeps its planned size and a loop of its own. Callers read only
-    a run's `times`, `mean_z` and `probe_current`."""
+    after the `SHARED_SIZE_FACTOR` rule, are the rows of one loop. Callers
+    read only a run's `times`, `mean_z` and `probe_current`."""
     sizes, drops = {drop.grid.n_points for drop in drops}, list(drops)
     for i, drop in enumerate(drops):
         grid = drop.grid
         n = max(s for s in sizes if s <= SHARED_SIZE_FACTOR * grid.n_points)
-        if n != grid.n_points and not config.solver.snapshot_stride:
+        if n != grid.n_points:
             drops[i] = drop._replace(grid=make_grid(grid.z_min, grid.z_max, n))
     first: dict[tuple, int] = {}
     for i, drop in enumerate(drops):
         first.setdefault(_solver_inputs(drop), i)
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i in first.values():
-        own = i if config.solver.snapshot_stride else -1
-        groups.setdefault((drops[i].grid.n_points, own), []).append(i)
+        groups.setdefault(drops[i].grid.n_points, []).append(i)
     results = {}
     for rows in groups.values():
         group = [drops[i] for i in rows]
@@ -297,8 +290,7 @@ def _solve(drops: list[_Drop], config: ExperimentConfig, log: _RunLog) -> list:
             results.update(zip(rows, split_step_evolve_many(
                 [build_wavefunction(d.spec, d.grid) for d in group],
                 [d.params for d in group], [d.dt for d in group],
-                [config.solver.time_steps] * len(group),
-                config.solver.snapshot_stride, unit=config.unit,
+                config.solver.time_steps, unit=config.unit,
                 probe_zs=[config.z_detector] * len(group),
                 record_stride=config.solver.record_stride)))
         except BoundaryBreachError as err:
@@ -307,7 +299,7 @@ def _solve(drops: list[_Drop], config: ExperimentConfig, log: _RunLog) -> list:
     pairs = []
     for drop in drops:
         i = first[_solver_inputs(drop)]
-        log.solved(results[i], config, drop.name, drops[i].name)
+        log.solved(results[i], config, drop, drops[i].name)
         pairs.append((drop, results[i]))
     return pairs
 
@@ -364,20 +356,27 @@ class _RunLog:
     snapshots: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    def solved(self, result, config: ExperimentConfig, name: str,
+    def solved(self, result, config: ExperimentConfig, drop: _Drop,
                first: str) -> None:
-        """Log solver run `name`, solved as run `first`: write the snapshots
+        """Log solver run `drop`, solved as run `first`: write the snapshots
         of a first run to <output_dir>/snapshots/<name>, and warn on the
-        run's norm drift."""
+        run's norm drift. A snapshot is the exact field on the solve grid
+        at every `snapshot_stride`-th step, computed as it is written."""
+        name, stride = drop.name, config.solver.snapshot_stride
         self.runs[name] = {"grid_points": result.final_field.grid.n_points,
                            "nyquist_headroom": result.nyquist_headroom}
         if first != name:
             self.runs[name]["solved_with"] = first
-        elif result.snapshot_fields:
+        elif stride:
+            times = (step * drop.dt for step in
+                     range(0, config.solver.time_steps + 1, stride))
+            exact = ((t, exact_wavefunction(drop.spec, drop.params, t,
+                                            drop.grid, config.unit))
+                     for t in times)
             out = Path(config.output_dir)
             self.snapshots += [
                 path.relative_to(out).as_posix() for path in dump_snapshots(
-                    result, out / "snapshots" / name, config.snapshot_format)]
+                    exact, out / "snapshots" / name, config.snapshot_format)]
         drift = float(np.max(np.abs(result.norms - 1.0)))
         if drift > NORM_DRIFT_TOL:
             self.warnings.append(f"{name}: max |1 - norm| = {drift:.3e} "
@@ -589,8 +588,9 @@ def run_mass_sweep(config: ExperimentConfig) -> ExperimentReport:
     Sweeps sigma_asymptotic over the gravitational mass (expected slope
     -1), the mean fall time over the mass ratio (expected slope +1/2),
     and the epsilon factor over the state kinds. Points run on a bounded
-    worker pool; records are sorted by their point digests before
-    reporting so aggregation is order-independent.
+    worker pool; records keep the task order (the axes in turn, each in
+    config value order), so the table and fits depend on the sweep inputs
+    alone.
     """
     sweep = config.sweep
     for name, values in (("m_g_values", sweep.m_g_values),
@@ -633,7 +633,6 @@ def run_mass_sweep(config: ExperimentConfig) -> ExperimentReport:
                                 sort_keys=True, default=str)
         rec["point_digest"] = hashlib.sha256(
             (digest + point_text).encode()).hexdigest()[:16]
-    records.sort(key=lambda r: r["point_digest"])
 
     sigma_recs = [r for r in records if r["axis"] == "sigma_vs_mg"]
     ratio_recs = [r for r in records if r["axis"] == "tof_vs_ratio"]

@@ -20,7 +20,7 @@ from qfall import (
 from qfall.config import DEFAULT_CONFIG_TEXT, _render
 
 # The default config text as it was written out by hand, with the keys since
-# removed: `seed`, `m_ref` and `delta0_ref`.
+# removed: `auto`, `seed`, `m_ref` and `delta0_ref`.
 FORMER_DEFAULT_TEXT = """\
 [units]
 hbar = 1.0
@@ -77,7 +77,7 @@ def test_default_text_keeps_the_former_default():
 
 
 def test_seed_is_an_unknown_key():
-    removed = ("seed", "m_ref", "delta0_ref")
+    removed = ("auto", "seed", "m_ref", "delta0_ref")
     for key in removed:  # each removed key alone in the former text
         text = "".join(line for line in FORMER_DEFAULT_TEXT.splitlines(True)
                        if line.split(" = ")[0] not in removed
@@ -171,10 +171,7 @@ configs = st.builds(
     field_strength=st.floats(0.1, 10.0),
     accel_factor=st.floats(0.0, 5.0),
     z_detector=st.floats(-5.0, 5.0),
-    grid=st.builds(GridSettings, auto=st.booleans(),
-                   z_min=st.floats(-100.0, 0.0), z_max=st.floats(0.0, 100.0),
-                   n_points=st.integers(16, 2**16),
-                   max_points=st.integers(1024, 2**20)),
+    grid=st.builds(GridSettings, max_points=st.integers(1024, 2**20)),
     solver=st.builds(SolverSettings, time_steps=st.integers(16, 10**5),
                      record_stride=st.integers(1, 64),
                      snapshot_stride=st.integers(0, 64),

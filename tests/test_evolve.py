@@ -42,6 +42,13 @@ def l2_distance(a, b, dz):
     return math.sqrt(float(np.sum(np.abs(a - b) ** 2) * dz))
 
 
+def fields_at(field0, params, dt, steps):
+    """psi after each of `steps`: the final field of a run stopped there,
+    bit for bit the field a longer run holds at that step."""
+    return [split_step_evolve(field0, params, dt, n, record_stride=max(1, n))
+            .final_field for n in steps]
+
+
 # --- parameters --------------------------------------------------------------
 
 def test_coupling_mass_by_mode():
@@ -192,11 +199,12 @@ def test_split_step_tracks_ehrenfest():
     grid = make_grid(-40.0, 30.0, 4096)
     params = params_g()
     m0 = analytic_moments(spec)
-    res = split_step_evolve(build_wavefunction(spec, grid), params,
-                            2.0 / 1024, 1024, snapshot_stride=128,
-                            record_stride=128)
-    assert np.array_equal(res.snapshot_times, res.times)
-    for t, mean_z, fld in zip(res.times, res.mean_z, res.snapshot_fields):
+    field0, dt = build_wavefunction(spec, grid), 2.0 / 1024
+    res = split_step_evolve(field0, params, dt, 1024, record_stride=128)
+    steps = range(0, 1025, 128)
+    assert np.array_equal(res.times, np.array(steps) * dt)
+    for t, mean_z, fld in zip(res.times, res.mean_z,
+                              fields_at(field0, params, dt, steps)):
         ref = moment_evolution(m0, params, float(t))
         mean_p = numeric_moments(fld).mean_p
         assert abs(mean_z - ref.mean_z) <= 1e-6 * max(1.0, abs(ref.mean_z))
@@ -252,20 +260,45 @@ def test_default_timestep():
 def test_snapshot_dumps(tmp_path):
     spec = WavepacketSpec.gaussian(2.0, 1.0)
     grid = make_grid(-25.0, 20.0, 1024)
-    res = split_step_evolve(build_wavefunction(spec, grid), params_g(),
-                            0.002, 200, snapshot_stride=100,
-                            record_stride=50)
-    assert res.snapshot_fields is not None
-    assert len(res.snapshot_fields) == 3  # steps 0, 100, 200
-    csv_paths = dump_snapshots(res, tmp_path / "csv", fmt="csv")
+    steps = (0, 100, 200)
+    snapshots = list(zip(
+        [0.002 * n for n in steps],
+        fields_at(build_wavefunction(spec, grid), params_g(), 0.002, steps)))
+    csv_paths = dump_snapshots(snapshots, tmp_path / "csv", fmt="csv")
     assert len(csv_paths) == 3
-    header = csv_paths[0].read_text().splitlines()[0]
-    assert header == "t,z,re_psi,im_psi"
-    npz_paths = dump_snapshots(res, tmp_path / "npz", fmt="npz")
+    for path, (t, fld) in zip(csv_paths, snapshots):
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,z,re_psi,im_psi"
+        rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        assert np.array_equal(rows[:, 0], np.full(grid.n_points, t))
+        assert np.array_equal(rows[:, 1], grid.points)
+        assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], fld.amplitudes)
+    npz_paths = dump_snapshots(iter(snapshots), tmp_path / "npz", fmt="npz")
     bundle = np.load(npz_paths[0])
-    assert bundle["psi"].shape == (3, 1024)
+    assert np.array_equal(bundle["times"], [t for t, _ in snapshots])
+    assert np.array_equal(bundle["z"], grid.points)
+    assert np.array_equal(bundle["psi"],
+                          [fld.amplitudes for _, fld in snapshots])
     with pytest.raises(ConfigurationError):
-        dump_snapshots(res, tmp_path, fmt="hdf5")
+        dump_snapshots(snapshots, tmp_path, fmt="hdf5")
+
+
+def test_csv_snapshots_are_written_one_at_a_time(tmp_path):
+    """The writer takes the next field only after the previous file is on
+    disk, so a lazy source holds one field at a time."""
+    spec = WavepacketSpec.gaussian(0.0, 1.0)
+    field0 = build_wavefunction(spec, grid_for(spec, 256))
+
+    def lazy():
+        for i in range(4):
+            if i:
+                assert (tmp_path / f"snapshot_{i - 1:06d}.csv").is_file()
+            assert not (tmp_path / f"snapshot_{i:06d}.csv").exists()
+            yield 0.5 * i, field0
+
+    paths = dump_snapshots(lazy(), tmp_path)
+    assert [p.name for p in paths] == [f"snapshot_{i:06d}.csv"
+                                       for i in range(4)]
 
 
 def test_record_costs_no_transform(monkeypatch):
@@ -291,7 +324,7 @@ def test_record_costs_no_transform(monkeypatch):
     calls.update(fft=0, ifft=0)
     split_step_evolve_many(
         [field0] * rows, [params_g(g=1.0 + r) for r in range(rows)],
-        [0.004] * rows, [n_steps] * rows, record_stride=1,
+        [0.004] * rows, n_steps, record_stride=1,
         probe_zs=[probe] * rows)
     assert calls == {"fft": n_steps + 1, "ifft": n_steps + 2 * rows}
 
@@ -305,32 +338,32 @@ def test_non_unit_field_is_rejected():
             split_step_evolve(scaled, params_g(), 0.004, 4)
 
 
-# --- the record against its snapshots -----------------------------------------
+# --- the record against the fields it was taken from -------------------------
 
 def assert_record_matches_snapshots(spec, mass, record_stride, n_steps=64,
                                     dt=0.004):
     """Every record of a run (norm, <z>, detector current), and the full
-    moment sets at release and at the end, must equal what the snapshots of
-    psi give; the solver takes them from the boosted chi and its spectrum
-    instead, so a wrong boost sign fails here."""
+    moment sets at release and at the end, must equal what psi at the
+    recorded step gives; the solver takes them from the boosted chi and its
+    spectrum instead, so a wrong boost sign fails here."""
     grid = grid_for(spec, 1024)
     j = grid.n_points // 2  # a grid point near the packet: psi(z_j) = psi_j
-    res = split_step_evolve(build_wavefunction(spec, grid),
-                            LinearPotentialParams(mass, 1.0), dt, n_steps,
-                            snapshot_stride=record_stride,
+    field0 = build_wavefunction(spec, grid)
+    params = LinearPotentialParams(mass, 1.0)
+    res = split_step_evolve(field0, params, dt, n_steps,
                             probe_z=float(grid.points[j]),
                             record_stride=record_stride)
-    assert len(res.snapshot_fields) == len(res.mean_z) \
-        == n_steps // record_stride + 1
-    assert np.array_equal(res.snapshot_times, res.times)
-    for mom, fld in ((res.initial_moments, res.snapshot_fields[0]),
-                     (res.final_moments, res.snapshot_fields[-1])):
+    steps = range(0, n_steps + 1, record_stride)
+    assert len(res.mean_z) == len(steps) == n_steps // record_stride + 1
+    assert np.array_equal(res.times, np.array(steps) * dt)
+    snapshots = fields_at(field0, params, dt, steps)
+    for mom, fld in ((res.initial_moments, snapshots[0]),
+                     (res.final_moments, snapshots[-1])):
         ref = numeric_moments(fld)
         for name in ("mean_z", "mean_p", "var_z", "var_p", "cov_zp"):
             assert abs(getattr(mom, name) - getattr(ref, name)) <= 1e-10, name
     for mean_z, nval, current, fld in zip(res.mean_z, res.norms,
-                                          res.probe_current,
-                                          res.snapshot_fields):
+                                          res.probe_current, snapshots):
         assert abs(mean_z - numeric_moments(fld).mean_z) <= 1e-10
         assert abs(nval - norm(fld)) <= 1e-12
         psi = fld.amplitudes
@@ -359,21 +392,18 @@ def test_record_matches_snapshots_property(seed, m_inertial, m_gravitational,
 # --- several runs in one loop -------------------------------------------------
 
 def assert_same_run(a, b):
-    """Bitwise equality of two runs' records, moments, fields and snapshots."""
-    for name in ("times", "norms", "mean_z", "probe_current",
-                 "snapshot_times"):
+    """Bitwise equality of two runs' records, moments and final fields."""
+    for name in ("times", "norms", "mean_z", "probe_current"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.initial_moments == b.initial_moments
     assert a.final_moments == b.final_moments
     assert np.array_equal(a.final_field.amplitudes, b.final_field.amplitudes)
-    assert (a.snapshot_fields is None) == (b.snapshot_fields is None)
-    for fa, fb in zip(a.snapshot_fields or (), b.snapshot_fields or ()):
-        assert np.array_equal(fa.amplitudes, fb.amplitudes)
 
 
 def test_rows_equal_their_solo_runs():
     """Rows with their own grid, state, masses, mode, field, dt and probe
-    (one without) come out of one loop exactly as from solo runs."""
+    (one without) come out of one loop exactly as from solo runs, also when
+    stopped at any recorded step."""
     rng = np.random.default_rng(11)
     runs = []
     for r in range(4):
@@ -386,27 +416,27 @@ def test_rows_equal_their_solo_runs():
         probe = None if r == 2 else float(grid.points[grid.n_points // 2 + r])
         runs.append((build_wavefunction(spec, grid), params,
                      rng.uniform(0.002, 0.005), probe))
-    options = dict(snapshot_stride=12, record_stride=3)
     fields, params, dts, probes = map(list, zip(*runs))
-    rows = split_step_evolve_many(fields, params, dts, [100] * len(runs),
-                                  probe_zs=probes, **options)
-    for row, (field0, params, dt, probe) in zip(rows, runs):
-        solo = split_step_evolve(field0, params, dt, 100, probe_z=probe,
-                                 **options)
-        assert_same_run(row, solo)
-        assert row.params == params and row.dt == dt and row.probe_z == probe
-    assert rows[2].probe_current is None
+    for n_steps in (*range(0, 100, 12), 100):
+        rows = split_step_evolve_many(fields, params, dts, n_steps,
+                                      probe_zs=probes, record_stride=3)
+        for row, (field0, par, dt, probe) in zip(rows, runs):
+            solo = split_step_evolve(field0, par, dt, n_steps, probe_z=probe,
+                                     record_stride=3)
+            assert_same_run(row, solo)
+            assert row.params == par and row.dt == dt and row.probe_z == probe
+        assert rows[2].probe_current is None
 
 
 def test_rows_must_share_grid_size_and_steps():
     spec = WavepacketSpec.gaussian(0.0, 1.0)
     small = build_wavefunction(spec, grid_for(spec, 512))
     large = build_wavefunction(spec, grid_for(spec, 1024))
-    for fields, steps in (([small, large], [8, 8]), ([small, small], [8, 9]),
-                          ([small, small], [8])):
-        with pytest.raises(ConfigurationError, match="n_points and n_steps"):
-            split_step_evolve_many(fields, [params_g()] * 2, [0.004] * 2,
-                                   steps, probe_zs=[None] * 2)
+    for fields, params in (([small, large], [params_g()] * 2),
+                           ([small, small], [params_g()])):
+        with pytest.raises(ConfigurationError, match="share n_points"):
+            split_step_evolve_many(fields, params, [0.004] * 2, 8,
+                                   probe_zs=[None] * 2)
 
 
 @pytest.mark.parametrize("bad", [0, 1])
@@ -424,7 +454,7 @@ def test_each_row_is_checked_before_the_loop(bad, flaw, error):
     else:
         probes[bad] = 25.0
     with pytest.raises(error):
-        split_step_evolve_many(fields, params, [0.01] * 2, [1000] * 2,
+        split_step_evolve_many(fields, params, [0.01] * 2, 1000,
                                probe_zs=probes, record_stride=1000)
 
 
@@ -440,7 +470,7 @@ def test_boundary_breach_names_the_row(tight_row):
     fields, params = [safe, safe], [params_g(g=0.0), params_g(g=0.0)]
     fields[tight_row], params[tight_row] = tight, params_g()
     with pytest.raises(BoundaryBreachError) as pair:
-        split_step_evolve_many(fields, params, [0.01] * 2, [2000] * 2,
+        split_step_evolve_many(fields, params, [0.01] * 2, 2000,
                                probe_zs=[None] * 2, record_stride=2000)
     assert solo.value.run == 0
     assert pair.value.run == tight_row
@@ -464,7 +494,7 @@ def test_gravity_and_accelerated_frame_rows_are_identical(
              for mode in (GRAVITY, ACCELERATED_FRAME)]
     n_steps, probe = 8 * record_stride, float(grid.points[n_points // 2])
     rows = split_step_evolve_many([field0] * 2, modes, [0.004] * 2,
-                                  [n_steps] * 2, probe_zs=[probe] * 2,
+                                  n_steps, probe_zs=[probe] * 2,
                                   record_stride=record_stride)
     for row, params in zip(rows, modes):
         solo = split_step_evolve(field0, params, 0.004, n_steps, probe_z=probe,
@@ -508,8 +538,7 @@ def test_rows_match_the_one_dimensional_loop():
                   (0.6, 1.3, GRAVITY))]
     dts = [0.004, 0.003, 0.005]
     probes = [float(f.grid.points[300]) for f in fields]
-    rows = split_step_evolve_many(fields, params, dts, [48] * 3,
-                                  probe_zs=probes)
+    rows = split_step_evolve_many(fields, params, dts, 48, probe_zs=probes)
     for row, *run in zip(rows, fields, params, dts, [48] * 3, probes):
         psi, norms, mean_z, currents = one_dimensional_strang(*run)
         assert np.array_equal(row.final_field.amplitudes, psi)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from qfall import (
     BoundaryBreachError,
     ConfigurationError,
     ExperimentConfig,
-    GridSettings,
     LinearPotentialParams,
     MassPair,
     Particle,
@@ -27,7 +27,9 @@ from qfall import (
     build_wavefunction,
     current_tof_distribution,
     ehrenfest_tof,
+    exact_wavefunction,
     fit_power_law,
+    make_grid,
     parse_config_text,
     plan_domain,
     run_decoherence_comparison,
@@ -232,9 +234,26 @@ def test_sweep_epsilons(sweep_report):
     assert abs(eps["female"] - 1.0 / math.sqrt(EPS_RATIO)) <= 1e-9
 
 
-def test_sweep_records_sorted_by_point_digest(sweep_report):
-    digests = [rec["point_digest"] for rec in sweep_report.records]
-    assert digests == sorted(digests)
+def test_sweep_rows_and_fits_ignore_keys_no_point_reads(sweep_report):
+    """A config change that no sweep point reads (here `time_steps`) moves
+    the digests only: rows keep the task order, the axes in turn and each
+    in config value order, so the table and the fits are bit for bit the
+    same."""
+    config = ExperimentConfig(particles=(gaussian_particle(),), threads=2,
+                              solver=SolverSettings(time_steps=4097))
+    other = run_mass_sweep(config)
+    assert other.digest != sweep_report.digest
+    sweep = config.sweep
+    assert [(rec["axis"], rec["x"]) for rec in other.records] == [
+        *(("sigma_vs_mg", x) for x in sweep.m_g_values),
+        *(("tof_vs_ratio", x) for x in sweep.ratio_values),
+        *(("epsilon_vs_state", kind) for kind in sweep.state_kinds)]
+    rows = [[(rec["axis"], rec["x"], rec["value"]) for rec in report.records]
+            for report in (sweep_report, other)]
+    assert rows[0] == rows[1]
+    assert json.dumps(other.fits) == json.dumps(sweep_report.fits)
+    digests = {rec["point_digest"] for rec in other.records}
+    assert len(digests) == len(other.records)
 
 
 def test_sweep_rejects_narrow_axes():
@@ -483,15 +502,6 @@ def test_one_key_magnitudes_run_or_raise_typed_errors(section_key, exponent,
         pass
 
 
-def test_explicit_grid_settings_used():
-    config = ExperimentConfig(
-        particles=(gaussian_particle(),),
-        grid=GridSettings(auto=False, z_min=-90.0, z_max=25.0, n_points=4096),
-        solver=FAST_SOLVER)
-    report = run_equivalence_test(config)
-    assert all(rec["grid_points"] == 4096 for rec in report.records)
-
-
 # --- solver loops -----------------------------------------------------------------
 
 def loop_sizes(monkeypatch):
@@ -515,22 +525,67 @@ def test_same_size_drops_share_one_loop(monkeypatch):
     assert all(len(set(rows)) == 1 for rows in sizes)
 
 
-def test_runs_with_snapshots_keep_their_own_loop(monkeypatch, tmp_path):
-    sizes = loop_sizes(monkeypatch)
-    solver = SolverSettings(time_steps=1024, snapshot_stride=512)
-    report = run_equivalence_test(config_for(
-        [gaussian_particle()], solver=solver, output_dir=str(tmp_path)))
-    assert [len(rows) for rows in sizes] == [1, 1]
-    # steps 0, 512, 1024 of the two solves; the accelerated-frame run shares
-    # the gravity run's solve and its snapshots (`solved_with`)
-    assert len(report.manifest["snapshots"]) == 2 * 3
-
-
 def drop_pair(mass):
     """A male cat and a Gaussian of one mass, both released at rest at z = 2."""
     return config_for([
         Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(mass, mass)),
         Particle(WavepacketSpec.gaussian(2.0, 1.0), MassPair(mass, mass))])
+
+
+def test_runs_with_snapshots_share_loops(monkeypatch, tmp_path):
+    sizes = loop_sizes(monkeypatch)
+    config = drop_pair(1.5)
+    plain = run_equivalence_test(config)
+    snapped = run_equivalence_test(replace(
+        config, solver=SolverSettings(time_steps=1024, snapshot_stride=512),
+        output_dir=str(tmp_path)))
+    assert sizes == [[1250, 1250, 1250]] * 2
+    for a, b in zip(snapped.records, plain.records):
+        a.pop("config_digest"), b.pop("config_digest")
+        assert json.dumps(a) == json.dumps(b)  # bitwise, NaN included
+    # steps 0, 512, 1024 of the three solves; each accelerated-frame run
+    # shares its gravity run's solve and snapshots (`solved_with`)
+    assert len(snapped.manifest["snapshots"]) == 3 * 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "npz"])
+def test_snapshots_are_the_exact_fields(monkeypatch, tmp_path, fmt):
+    """Each listed snapshot holds `exact_wavefunction` on the solve grid at
+    t = j K dt, with the stride K not rounded to the record stride."""
+    planned = []
+
+    def plan(*args, **kwargs):
+        planned.append(plan_domain(*args, **kwargs))
+        return planned[-1]
+
+    monkeypatch.setattr(experiments, "plan_domain", plan)
+    particle = gaussian_particle()
+    solver = SolverSettings(time_steps=1024, record_stride=8,
+                            snapshot_stride=300)
+    report = run_equivalence_test(config_for(
+        [particle], accel_factor=0.0, solver=solver, snapshot_format=fmt,
+        output_dir=str(tmp_path)))
+    [domain] = planned  # gravity and the accelerated frame share one domain
+    grid = make_grid(domain.z_min, domain.z_max, report.manifest["runs"][
+        "particle1_gravity"]["grid_points"])
+    times = [step * report.records[0]["dt"] for step in (0, 300, 600, 900)]
+    params = LinearPotentialParams(particle.mass, 1.0)
+    exact = np.array([exact_wavefunction(particle.spec, params, t, grid)
+                      .amplitudes for t in times])
+    paths = [tmp_path / path for path in report.manifest["snapshots"]]
+    if fmt == "npz":
+        [path] = paths
+        bundle = np.load(path)
+        assert np.array_equal(bundle["times"], times)
+        assert np.array_equal(bundle["z"], grid.points)
+        assert np.array_equal(bundle["psi"], exact)
+        return
+    assert len(paths) == len(times)
+    for path, t, psi in zip(paths, times, exact):
+        t_col, z, re, im = np.loadtxt(path, delimiter=",", skiprows=1).T
+        assert np.array_equal(t_col, np.full(grid.n_points, t))
+        assert np.array_equal(z, grid.points)
+        assert np.array_equal(re + 1j * im, psi)
 
 
 @pytest.fixture(scope="module")
@@ -624,11 +679,11 @@ def test_right_sized_grid_keeps_the_physics(monkeypatch, sized_pairs, mass):
             assert a[key] == pytest.approx(b[key], rel=1e-12, abs=0.0)
 
 
-def test_boundary_breach_names_the_experiment_run():
-    config = config_for([gaussian_particle()], grid=GridSettings(
-        auto=False, z_min=-6.0, z_max=12.0, n_points=1024))
+def test_boundary_breach_names_the_experiment_run(monkeypatch):
+    monkeypatch.setattr(experiments, "plan_domain",
+                        lambda *args, **kwargs: make_grid(-6.0, 12.0, 1024))
     with pytest.raises(BoundaryBreachError) as excinfo:
-        run_equivalence_test(config)
+        run_equivalence_test(config_for([gaussian_particle()]))
     assert excinfo.value.run == "particle1_gravity"
     assert excinfo.value.step_index > 0
     assert "run particle1_gravity)" in str(excinfo.value)

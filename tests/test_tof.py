@@ -219,14 +219,12 @@ def test_window_escaping_simulation_errors(semiclassical_drop):
 
 
 def test_distribution_needs_current_source():
-    # the current comes from a probe at the detector only; snapshots are
-    # not a second source
+    # the current comes from a probe at the detector only
     spec = WavepacketSpec.gaussian(2.0, 1.0)
     params = params_g()
     grid = plan_domain([(spec, params)], 0.0, 2.2)
     field0 = build_wavefunction(spec, grid)
     for source, message in (({}, "probe_z"),
-                            ({"snapshot_stride": 1}, "probe_z"),
                             ({"probe_z": 1.0}, "probed the current at 1.0")):
         res = split_step_evolve(field0, params, 2.2 / 256, 256, **source)
         with pytest.raises(PreconditionError, match=message):
