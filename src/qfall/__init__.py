@@ -54,6 +54,7 @@ from .evolve import (
     GRAVITY,
     EvolutionResult,
     LinearPotentialParams,
+    arrival_current,
     default_timestep,
     dump_snapshots,
     exact_wavefunction,

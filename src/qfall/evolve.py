@@ -13,9 +13,12 @@ Engines:
 * an exact wavefunction propagator (`exact_wavefunction`) built from the
   extended Galilean transform: free spectral evolution, a coordinate
   shift by the classical drop, and a linear momentum-kick phase;
+* the same transform applied to the free Gaussian branches, which gives
+  the detector current in closed form (`arrival_current`);
 * a Strang split-operator spectral solver (`split_step_evolve`) with fused
   half kicks: one transform pair per step, and none more per record;
-  `split_step_evolve_many` steps runs of one grid size as rows of one array.
+  `split_step_evolve_many` steps runs of one grid size as rows of one
+  array. It is the independent oracle of the two closed forms.
 
 For a linear potential the Strang commutator defect is a c-number, so the
 split solution differs from the exact one by a pure global phase
@@ -46,8 +49,8 @@ from .errors import (
     DomainError,
     PreconditionError,
 )
-from .states import (MomentSet, WavepacketSpec, build_wavefunction,
-                     spectral_moments)
+from .states import (CAT, MomentSet, WavepacketSpec, build_wavefunction,
+                     normalization_constant, spectral_moments)
 
 __all__ = [
     "GRAVITY",
@@ -56,6 +59,7 @@ __all__ = [
     "EvolutionResult",
     "moment_evolution",
     "exact_wavefunction",
+    "arrival_current",
     "split_step_evolve",
     "split_step_evolve_many",
     "default_timestep",
@@ -165,30 +169,69 @@ def exact_wavefunction(spec: WavepacketSpec, params: LinearPotentialParams,
     and the unfallen spread packet; both are checked against the boundary
     guard and a breach raises :class:`DomainError` advising a larger grid.
     """
-    if t < 0:
-        raise PreconditionError("evolution time must be nonnegative")
-    hbar = unit.hbar
-    mi = params.mass.m_inertial
-    force = params.force
-    shift = 0.5 * params.g_eff * t**2
-    field0 = build_wavefunction(spec, grid)
-    k = grid.wavenumbers
-    spectrum = np.fft.fft(field0.amplitudes) * np.exp(
-        -1j * hbar * k**2 * t / (2.0 * mi))
-    free = GridField(grid, np.fft.ifft(spectrum))
-    if boundary_probability(free, BOUNDARY_CELLS) > BOUNDARY_TOL:
-        raise DomainError(
-            "free-spreading intermediate reaches the boundary; enlarge the "
-            "grid above the release point")
-    shifted = np.fft.ifft(spectrum * np.exp(1j * k * shift))
-    phase = np.exp(-1j * force * t * grid.points / hbar
-                   - 1j * force**2 * t**3 / (6.0 * mi * hbar))
-    out = GridField(grid, phase * shifted)
-    if boundary_probability(out, BOUNDARY_CELLS) > BOUNDARY_TOL:
-        raise DomainError(
-            "evolved state reaches the boundary; enlarge the grid below the "
-            "detector")
+    [(_, out)] = _exact_fields(spec, params, [t], grid, unit)
     return out
+
+
+def _exact_fields(spec, params, times, grid, unit=DEFAULT_UNITS):
+    """Yield (t, :func:`exact_wavefunction` at t) for each of `times`; the
+    initial state and its spectrum are built once for the series."""
+    if min(times) < 0:
+        raise PreconditionError("evolution time must be nonnegative")
+    hbar, mi, force, k = (unit.hbar, params.mass.m_inertial, params.force,
+                          grid.wavenumbers)
+    spectrum0 = np.fft.fft(build_wavefunction(spec, grid).amplitudes)
+    for t in times:
+        shift = 0.5 * params.g_eff * t**2
+        spectrum = spectrum0 * np.exp(-1j * hbar * k**2 * t / (2.0 * mi))
+        free = GridField(grid, np.fft.ifft(spectrum))
+        if boundary_probability(free, BOUNDARY_CELLS) > BOUNDARY_TOL:
+            raise DomainError(
+                "free-spreading intermediate reaches the boundary; enlarge "
+                "the grid above the release point")
+        shifted = np.fft.ifft(spectrum * np.exp(1j * k * shift))
+        phase = np.exp(-1j * force * t * grid.points / hbar
+                       - 1j * force**2 * t**3 / (6.0 * mi * hbar))
+        out = GridField(grid, phase * shifted)
+        if boundary_probability(out, BOUNDARY_CELLS) > BOUNDARY_TOL:
+            raise DomainError(
+                "evolved state reaches the boundary; enlarge the grid below "
+                "the detector")
+        yield t, out
+
+
+def arrival_current(spec: WavepacketSpec, params: LinearPotentialParams,
+                    z_d: float, times, unit: UnitSystem = DEFAULT_UNITS,
+                    ) -> np.ndarray:
+    """The probability current J(z_d, t) at `times`, in closed form.
+
+    Each Gaussian branch spreads freely with the complex width
+    s^2 = delta0^2 + i hbar t / m_i and amplitude N c delta0 / s. As in
+    :func:`exact_wavefunction`, their sum phi is read at u = z_d + g_eff t^2/2
+    and J = (hbar / m_i) Im(phi* d_u phi) - (F t / m_i) |phi|^2. No grid is
+    involved; an overflow raises :class:`ConfigurationError`.
+    """
+    hbar, mi, t = unit.hbar, params.mass.m_inertial, np.asarray(times, float)
+    lo, hi = spec.peak_centers()
+    branches = [(lo, spec.c_plus)] + [(hi, spec.c_minus)] * (spec.kind == CAT)
+    phi = dphi = 0.0
+    with np.errstate(all="ignore"):  # far tails are set to 0; overflow below
+        s2 = spec.delta0**2 + 1j * hbar * t / mi
+        x0 = z_d + 0.5 * params.g_eff * t**2
+        for center, coeff in branches:
+            x = x0 - center
+            exponent = -x * x / (2.0 * s2)
+            branch = coeff * np.exp(exponent, out=np.zeros_like(exponent),
+                                    where=exponent.real > -800.0)
+            phi, dphi = phi + branch, dphi - x / s2 * branch
+        phi, dphi = (normalization_constant(spec) * spec.delta0 / np.sqrt(s2)
+                     * np.array([phi, dphi]))
+        current = (hbar * (phi.conjugate() * dphi).imag
+                   - params.force * t * np.abs(phi) ** 2) / mi
+    if not np.isfinite(current).all():
+        raise ConfigurationError("the closed-form current overflows; reduce "
+                                 "the drop height or the run length")
+    return current
 
 
 def default_timestep(t_total: float, steps: int = 4096) -> float:
@@ -280,8 +323,7 @@ def split_step_evolve_many(initials, params, dts, n_steps: int, *,
     headrooms = []
     for grid, par, dt, probe_z, m0 in zip(grids, params, dts, probe_zs,
                                           initial_moments):
-        p_reach = abs(m0.mean_p) + par.force * abs(dt) * n_steps \
-            + 5.0 * math.sqrt(m0.var_p)
+        p_reach = _momentum_reach(m0, par.force * abs(dt) * n_steps)
         headrooms.append(hbar * grid.k_max / p_reach)
         if headrooms[-1] < nyquist_margin:
             raise ConfigurationError(
@@ -344,6 +386,11 @@ def split_step_evolve_many(initials, params, dts, n_steps: int, *,
     ) for r, (grid, dt) in enumerate(zip(grids, dts))]
 
 
+def _momentum_reach(m0: MomentSet, impulse: float) -> float:
+    """|<p>| + F t + 5 sigma_p: what a run from `m0` reaches after F t."""
+    return abs(m0.mean_p) + impulse + 5.0 * math.sqrt(m0.var_p)
+
+
 def probe_weights(grid: SpatialGrid, z: float) -> np.ndarray:
     """Rows giving the band-limited (psi(z), psi'(z)) = weights @ psi_k."""
     k = grid.wavenumbers
@@ -397,12 +444,14 @@ def refine_timestep(spec: WavepacketSpec, params: LinearPotentialParams,
     return {"dt": dt, "n_steps": n, "errors": errors, "ratios": ratios}
 
 
-def dump_snapshots(snapshots, directory, fmt: str = "csv"):
+def dump_snapshots(snapshots, directory, fmt: str = "csv",
+                   count: int | None = None):
     """Write (t, field) `snapshots` as {t, z, Re psi, Im psi} records.
 
     `fmt` selects one CSV file per snapshot, each written before the next
-    pair is taken from `snapshots`, or a single .npz bundle. Returns the
-    list of paths written.
+    pair is taken from `snapshots`, or a single .npz bundle, whose fields
+    are copied into one array of `count` rows as they are taken (without
+    `count` the pairs are listed first). Returns the list of paths written.
     """
     from pathlib import Path
 
@@ -411,10 +460,16 @@ def dump_snapshots(snapshots, directory, fmt: str = "csv"):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if fmt == "npz":
-        times, fields = zip(*snapshots)
+        if count is None:
+            snapshots = list(snapshots)
+            count = len(snapshots)
+        times = np.empty(count)
+        for i, (t, fld) in enumerate(snapshots):
+            if i == 0:
+                psi = np.empty((count, fld.grid.n_points), dtype=complex)
+            times[i], psi[i] = t, fld.amplitudes
         path = directory / "snapshots.npz"
-        np.savez(path, times=np.array(times), z=fields[0].grid.points,
-                 psi=np.array([f.amplitudes for f in fields]))
+        np.savez(path, times=times, z=fld.grid.points, psi=psi)
         return [path]
     paths = []
     for i, (t, fld) in enumerate(snapshots):

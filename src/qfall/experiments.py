@@ -1,7 +1,8 @@
 """Drop experiments: Galileo pairs, gravity-vs-acceleration, sweeps.
 
 Each experiment takes an :class:`ExperimentConfig`, runs the estimators
-of :mod:`qfall.tof` (closed-form and split-operator), and returns an
+of :mod:`qfall.tof` on the closed-form detector current of
+:func:`qfall.evolve.arrival_current`, and returns an
 :class:`ExperimentReport` whose records all carry the digest of the
 config that produced them. Reports serialize to one CSV per table plus a
 JSON manifest, with full round-trip float formatting so reruns of equal
@@ -24,22 +25,22 @@ import numpy as np
 from ._version import __version__
 from .core import (DEFAULT_UNITS, MassPair, SpatialGrid, UnitSystem,
                    _check_scale, fft_size, make_grid)
-from .errors import BoundaryBreachError, ConfigurationError, PreconditionError
+from .errors import ConfigurationError, PreconditionError
 from .evolve import (
     ACCELERATED_FRAME,
     GRAVITY,
     LinearPotentialParams,
+    _exact_fields,
+    _momentum_reach,
+    arrival_current,
     dump_snapshots,
-    exact_wavefunction,
     moment_evolution,
-    split_step_evolve_many,
 )
 from .prepare import check_matched, match_second_particle
 from .states import (
     CAT,
     WavepacketSpec,
     analytic_moments,
-    build_wavefunction,
     mixture_moments,
 )
 from .tof import (
@@ -51,7 +52,6 @@ from .tof import (
     distribution_from_current,
     ehrenfest_tof,
     epsilon_factor,
-    mean_crossing_time,
     semiclassical_sigma_tof,
 )
 
@@ -229,85 +229,49 @@ def plan_domain(entries, z_detector: float, t_final: float,
     return make_grid(z_bot, z_top, n)
 
 
-# A planned split-operator drop: its run name and record label, state and
-# parameters, closed-form crossing (t_cross, sigma), grid and time step.
+# A planned drop: its run name and record label, state and parameters,
+# closed-form crossing (t_cross, sigma), snapshot grid (or None) and time step.
 _Drop = namedtuple("_Drop", "name label spec params crossing grid dt")
 
 
 def _plan(entries, config: ExperimentConfig) -> list[_Drop]:
-    """Plan (label, spec, params) drops named `<label>_<mode>` on one clock and
-    one planned domain. Each crossing is taken once; the run lasts until the
-    latest upper window edge, with slack."""
+    """Plan (label, spec, params) drops named `<label>_<mode>` on one clock,
+    and on one planned domain when snapshots are asked for. Each crossing
+    is taken once; the run lasts until the latest upper window edge, with
+    slack."""
     crossings = [crossing_spread(analytic_moments(spec, config.unit), params,
                                  config.z_detector) for _, spec, params in entries]
     t_final = max(t + 1.08 * config.solver.window_sigmas * sigma
                   for t, sigma in crossings)
-    grid = plan_domain([entry[1:] for entry in entries], config.z_detector,
-                       t_final, config.unit, config.grid.max_points)
+    grid = plan_domain(
+        [entry[1:] for entry in entries], config.z_detector, t_final,
+        config.unit, config.grid.max_points,
+    ) if config.solver.snapshot_stride else None
     return [_Drop(f"{label}_{params.mode}", label, spec, params, crossing, grid,
                   t_final / config.solver.time_steps)
             for (label, spec, params), crossing in zip(entries, crossings)]
 
 
-# A drop runs on its own domain at the largest planned size of its experiment
-# within this factor of its own, so near-equal drops share a solver loop: at
-# 1,024 points (2-core Xeon) a second loop costs ~70 us a step, a row ~25 us.
-# At 1.6 the default drop (1,152 and 1,800 points) is one loop: 0.59 s against
-# 0.73 s as two loops (medians of 12 interleaved in-process runs).
-SHARED_SIZE_FACTOR = 1.6
-
-
-def _solver_inputs(drop: _Drop) -> tuple:
-    """What the solver receives for `drop` besides the config's steps, probe
-    and strides. Built from the inputs, never from the mode, so a fault in
-    the mode -> force mapping shows as two solves and a nonzero identity L1."""
-    return (drop.spec, drop.params.mass.m_inertial, drop.params.force,
-            drop.grid, drop.dt)
-
-
 def _solve(drops: list[_Drop], config: ExperimentConfig, log: _RunLog) -> list:
-    """The `(drop, run)` pairs of `drops` with the detector probe, in order,
-    each drop on the grid it was solved on, each run logged to `log`. Drops
-    with equal `_solver_inputs` share the first one's run. Drops of one size,
-    after the `SHARED_SIZE_FACTOR` rule, are the rows of one loop. Callers
-    read only a run's `times`, `mean_z` and `probe_current`."""
-    sizes, drops = {drop.grid.n_points for drop in drops}, list(drops)
-    for i, drop in enumerate(drops):
-        grid = drop.grid
-        n = max(s for s in sizes if s <= SHARED_SIZE_FACTOR * grid.n_points)
-        if n != grid.n_points:
-            drops[i] = drop._replace(grid=make_grid(grid.z_min, grid.z_max, n))
-    first: dict[tuple, int] = {}
-    for i, drop in enumerate(drops):
-        first.setdefault(_solver_inputs(drop), i)
-    groups: dict[int, list[int]] = {}
-    for i in first.values():
-        groups.setdefault(drops[i].grid.n_points, []).append(i)
-    results = {}
-    for rows in groups.values():
-        group = [drops[i] for i in rows]
-        try:
-            results.update(zip(rows, split_step_evolve_many(
-                [build_wavefunction(d.spec, d.grid) for d in group],
-                [d.params for d in group], [d.dt for d in group],
-                config.solver.time_steps, unit=config.unit,
-                probe_zs=[config.z_detector] * len(group),
-                record_stride=config.solver.record_stride)))
-        except BoundaryBreachError as err:
-            raise BoundaryBreachError(err.message, err.step_index,
-                                      group[err.run].name) from err
-    pairs = []
+    """The `(drop, times, current)` of each of `drops`, in order: the
+    closed-form detector current at the record times k dt, for k = 0,
+    `record_stride`, ... and the last step. Each drop is logged to `log`."""
+    n = config.solver.time_steps
+    steps = np.unique(np.r_[0:n + 1:config.solver.record_stride, n])
+    solved = []
     for drop in drops:
-        i = first[_solver_inputs(drop)]
-        log.solved(results[i], config, drop, drops[i].name)
-        pairs.append((drop, results[i]))
-    return pairs
+        log.solved(drop, config)
+        times = steps * drop.dt
+        solved.append((drop, times, arrival_current(
+            drop.spec, drop.params, config.z_detector, times, config.unit)))
+    return solved
 
 
-def _drop_record(drop: _Drop, run, config: ExperimentConfig, log: _RunLog):
-    """Log the arrival density of solved `drop` to `log`; returns the per-run
-    record and the density."""
-    dist = _arrival(run.times, run.probe_current, [drop], config)
+def _drop_record(drop: _Drop, times, current, config: ExperimentConfig,
+                 log: _RunLog):
+    """Log the arrival density of the solved `drop` to `log`; returns the
+    per-run record and the density."""
+    dist = _arrival(times, current, [drop], config)
     log.arrived(dist, drop.name)
     spec, mass = drop.spec, drop.params.mass
     return {
@@ -318,7 +282,8 @@ def _drop_record(drop: _Drop, run, config: ExperimentConfig, log: _RunLog):
         "state_kind": spec.kind,
         "theta": spec.theta,
         "t_ehrenfest": drop.crossing[0],
-        "t_mean_crossing": mean_crossing_time(run, config.z_detector),
+        # the mean of a linear potential crosses at the Ehrenfest time exactly
+        "t_mean_crossing": drop.crossing[0],
         "sigma_full": drop.crossing[1],
         "sigma_asymptotic": asymptotic_sigma_tof(spec, drop.params,
                                                  config.unit),
@@ -329,58 +294,51 @@ def _drop_record(drop: _Drop, run, config: ExperimentConfig, log: _RunLog):
         "capture_fraction": dist.capture_fraction,
         "low_capture_warning": dist.low_capture_warning,
         "dt": drop.dt,
-        "grid_points": drop.grid.n_points,
         "config_digest": config.digest(),
     }, dist
 
 
 def _arrival(times, current, drops: list[_Drop], config: ExperimentConfig):
-    """The arrival density of the probe `current` in the window spanned by the
-    planned crossings of `drops`."""
+    """The arrival density of the detector `current` in the window spanned by
+    the planned crossings of `drops`."""
     return distribution_from_current(times, current, *_arrival_windows(
         [drop.crossing for drop in drops], config.solver.window_sigmas))
 
 
-# The bound on a solver run's norm drift max |1 - norm| (acceptance
-# criterion 7); the split-step solver is unitary, so a larger drift means
-# the run cannot be trusted.
-NORM_DRIFT_TOL = 1e-10
+def _sampling_errors(dists) -> dict:
+    """The largest `TofDistribution.sampling_error` over `dists`."""
+    mean, std = np.max([dist.sampling_error() for dist in dists], axis=0)
+    return {"sampling_error_tof_mean": float(mean),
+            "sampling_error_tof_std": float(std)}
 
 
 @dataclass
 class _RunLog:
-    """What an experiment's runs leave in its manifest: each solver run's
-    grid size, Nyquist headroom and `solved_with`, its snapshots, warnings."""
+    """What an experiment's runs leave in its manifest: the grid size and
+    Nyquist headroom of each run with snapshots, its snapshots, warnings."""
 
     runs: dict[str, dict] = field(default_factory=dict)
     snapshots: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    def solved(self, result, config: ExperimentConfig, drop: _Drop,
-               first: str) -> None:
-        """Log solver run `drop`, solved as run `first`: write the snapshots
-        of a first run to <output_dir>/snapshots/<name>, and warn on the
-        run's norm drift. A snapshot is the exact field on the solve grid
-        at every `snapshot_stride`-th step, computed as it is written."""
-        name, stride = drop.name, config.solver.snapshot_stride
-        self.runs[name] = {"grid_points": result.final_field.grid.n_points,
-                           "nyquist_headroom": result.nyquist_headroom}
-        if first != name:
-            self.runs[name]["solved_with"] = first
-        elif stride:
-            times = (step * drop.dt for step in
-                     range(0, config.solver.time_steps + 1, stride))
-            exact = ((t, exact_wavefunction(drop.spec, drop.params, t,
-                                            drop.grid, config.unit))
-                     for t in times)
-            out = Path(config.output_dir)
-            self.snapshots += [
-                path.relative_to(out).as_posix() for path in dump_snapshots(
-                    exact, out / "snapshots" / name, config.snapshot_format)]
-        drift = float(np.max(np.abs(result.norms - 1.0)))
-        if drift > NORM_DRIFT_TOL:
-            self.warnings.append(f"{name}: max |1 - norm| = {drift:.3e} "
-                                 f"exceeds {NORM_DRIFT_TOL:g}")
+    def solved(self, drop: _Drop, config: ExperimentConfig) -> None:
+        """Log run `drop`. With snapshots, log its grid and write the exact
+        field on that grid at every `snapshot_stride`-th step, each computed
+        as it is written, to <output_dir>/snapshots/<name>."""
+        stride, n = config.solver.snapshot_stride, config.solver.time_steps
+        if not stride:
+            return
+        grid, unit, out = drop.grid, config.unit, Path(config.output_dir)
+        reach = _momentum_reach(analytic_moments(drop.spec, unit),
+                                drop.params.force * drop.dt * n)
+        self.runs[drop.name] = {"grid_points": grid.n_points,
+                                "nyquist_headroom": unit.hbar * grid.k_max
+                                / reach}
+        times = [step * drop.dt for step in range(0, n + 1, stride)]
+        fields = _exact_fields(drop.spec, drop.params, times, grid, unit)
+        paths = dump_snapshots(fields, out / "snapshots" / drop.name,
+                               config.snapshot_format, len(times))
+        self.snapshots += [path.relative_to(out).as_posix() for path in paths]
 
     def arrived(self, dist, name: str) -> None:
         """Warn when the arrival density `name` has its low-capture flag."""
@@ -402,43 +360,29 @@ class ExperimentReport:
     manifest: dict = field(default_factory=dict)
     distributions: dict = field(default_factory=dict, repr=False)
 
-    def table_name(self) -> str:
-        return f"{self.experiment}_{self.digest}.csv"
-
-    def manifest_name(self) -> str:
-        return f"{self.experiment}_{self.digest}.json"
-
     def write(self, out_dir) -> list[Path]:
         """Write the record table, per-run arrival-time densities (CSV),
-        and the manifest (JSON)."""
+        and the manifest (JSON), all named `<experiment>_<digest>`."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / self.table_name()
+        stem = f"{self.experiment}_{self.digest}"
+        paths = [out / f"{stem}.csv"]
         columns = list(self.records[0].keys()) if self.records else []
-        with open(csv_path, "w") as fh:
+        with open(paths[0], "w") as fh:
             fh.write(",".join(columns) + "\n")
             for rec in self.records:
                 fh.write(",".join(_cell(rec.get(c)) for c in columns) + "\n")
-        paths = [csv_path]
-        tables = [csv_path.name]
         for label, dist in self.distributions.items():
-            dist_path = out / f"{self.experiment}_{self.digest}_{label}.csv"
-            dist.to_csv(dist_path)
-            paths.append(dist_path)
-            tables.append(dist_path.name)
-        manifest_path = out / self.manifest_name()
-        payload = dict(self.manifest)
-        payload.update({
-            "experiment": self.experiment,
-            "digest": self.digest,
-            "fits": self.fits,
-            "summary": self.summary,
-            "tables": tables,
-        })
-        with open(manifest_path, "w") as fh:
+            paths.append(out / f"{stem}_{label}.csv")
+            dist.to_csv(paths[-1])
+        payload = dict(self.manifest, experiment=self.experiment,
+                       digest=self.digest, fits=self.fits,
+                       summary=self.summary,
+                       tables=[path.name for path in paths])
+        paths.append(out / f"{stem}.json")
+        with open(paths[-1], "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        paths.append(manifest_path)
         return paths
 
 
@@ -495,8 +439,8 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
         drops += _plan([(f"particle{idx}", p.spec, LinearPotentialParams(
             p.mass, config.field_strength))], config)
     records, distributions, log = [], {}, _RunLog()
-    for drop, run in _solve(drops, config, log):
-        rec, dist = _drop_record(drop, run, config, log)
+    for drop, times, current in _solve(drops, config, log):
+        rec, dist = _drop_record(drop, times, current, config, log)
         records.append(rec)
         distributions[drop.label] = dist
 
@@ -510,6 +454,7 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
         "delta_tof_mean": records[1]["tof_mean"] - records[0]["tof_mean"],
         "delta_tof_std": records[1]["tof_std"] - records[0]["tof_std"],
         "solver_tolerance": solver_tol,
+        **_sampling_errors(distributions.values()),
         # equal mass ratios force equal mean trajectories; the current-based
         # means keep mass- and state-dependent quantum corrections on top
         "ehrenfest_tofs_coincide":
@@ -533,7 +478,7 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
 
     Both parameterizations build the same linear Hamiltonian when
     m_i = m_g, so the current-based arrival distributions must agree to
-    solver roundoff; a deliberately mismatched control acceleration
+    roundoff; a deliberately mismatched control acceleration
     (accel_factor * g) must be clearly distinguishable.
     """
     for particle in config.particles:
@@ -551,8 +496,8 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
                 mass, config.accel_factor * config.field_strength,
                 ACCELERATED_FRAME))], config)
     log = _RunLog()
-    built = iter([_drop_record(drop, run, config, log)
-                  for drop, run in _solve(drops, config, log)])
+    built = iter([_drop_record(*solved, config, log)
+                  for solved in _solve(drops, config, log)])
     records, identity_l1, control_l1, distributions = [], [], None, {}
     for idx in range(1, len(config.particles) + 1):
         (rec_g, dist_g), (rec_a, dist_a) = next(built), next(built)
@@ -678,17 +623,16 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
         config)]
     dt = drops[0].dt
     log = _RunLog()
-    (_, pure), (_, plus), (_, minus) = _solve(drops, config, log)
+    (_, times, pure), (_, _, plus), (_, _, minus) = _solve(drops, config, log)
 
-    dist_pure = _arrival(pure.times, pure.probe_current, drops[:1], config)
-    mixed_current = wp * plus.probe_current + wm * minus.probe_current
-    dist_mixed = _arrival(plus.times, mixed_current, drops[1:], config)
+    dist_pure = _arrival(times, pure, drops[:1], config)
+    dist_mixed = _arrival(times, wp * plus + wm * minus, drops[1:], config)
     log.arrived(dist_pure, "pure")
     log.arrived(dist_mixed, "mixture")
 
     pure_moments = analytic_moments(spec, unit)
     mixed_moments = mixture_moments(spec, unit)
-    solver_tol = 2.0 * dt  # pure run plus mixture run
+    solver_tol = 2.0 * dt  # sampling steps of the pure and mixture densities
     records = []
     for label, dist, mom in (("pure", dist_pure, pure_moments),
                              ("mixture", dist_mixed, mixed_moments)):
@@ -710,6 +654,7 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
         "delta_tof_mean": dist_pure.mean_t - dist_mixed.mean_t,
         "delta_tof_std": dist_pure.std_t - dist_mixed.std_t,
         "solver_tolerance": solver_tol,
+        **_sampling_errors((dist_pure, dist_mixed)),
         "means_differ":
             abs(dist_pure.mean_t - dist_mixed.mean_t) > 5.0 * solver_tol,
     }

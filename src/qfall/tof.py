@@ -75,6 +75,14 @@ class TofDistribution:
         """CDF on `times` by trapezoid accumulation, 0 at the window start."""
         return _cumtrapz(self.density, self.times)
 
+    def sampling_error(self) -> tuple[float, float]:
+        """How far mean_t and std_t move when the density keeps only every
+        second sample (renormalized): their measured sampling error."""
+        times, density = self.times[::2], self.density[::2]
+        mean, std = _density_mean_std(times,
+                                      density / np.trapezoid(density, times))
+        return abs(mean - self.mean_t), abs(std - self.std_t)
+
     def to_csv(self, path):
         cumulative = self.cumulative()
         with open(path, "w") as fh:
@@ -238,9 +246,6 @@ def distribution_from_current(times: np.ndarray, current: np.ndarray,
             f"crossing window {window} escapes the simulated range "
             f"[0, {t_end}]; extend the run")
     downward = np.maximum(0.0, -current)
-    total_flux = float(np.trapezoid(downward, times))
-    if total_flux <= 0.0:
-        raise PreconditionError("no downward flux recorded at the detector")
 
     def build(win):
         mask = (times >= win[0]) & (times <= win[1])
@@ -248,28 +253,25 @@ def distribution_from_current(times: np.ndarray, current: np.ndarray,
             raise ConfigurationError(
                 f"window {win} contains fewer than 8 current samples")
         tw = times[mask]
-        flux = downward[mask]
-        captured = float(np.trapezoid(flux, tw)) / total_flux
         clipped = float(np.trapezoid(np.maximum(0.0, current[mask]), tw))
-        return tw, flux, captured, clipped
+        return tw, downward[mask], clipped
 
-    tw, flux, captured, clipped = build(window)
-    used = window
-    warning = False
-    if captured < CAPTURE_THRESHOLD:
-        if extended_window is not None:
-            wide = (max(0.0, extended_window[0]), min(t_end, extended_window[1]))
-            tw, flux, captured, clipped = build(wide)
-            used = wide
-        warning = captured < CAPTURE_THRESHOLD
-    weight = float(np.trapezoid(flux, tw))
-    density = flux / weight
+    tw, flux, clipped = build(window)
+    total_flux = float(np.trapezoid(downward, times))
+    if total_flux <= 0.0:
+        raise PreconditionError("no downward flux recorded at the detector")
+    used, captured = window, float(np.trapezoid(flux, tw)) / total_flux
+    if captured < CAPTURE_THRESHOLD and extended_window is not None:
+        used = (max(0.0, extended_window[0]), min(t_end, extended_window[1]))
+        tw, flux, clipped = build(used)
+        captured = float(np.trapezoid(flux, tw)) / total_flux
+    density = flux / float(np.trapezoid(flux, tw))
     mean_t, std_t = _density_mean_std(tw, density)
     return TofDistribution(
         times=tw, density=density, mean_t=mean_t, std_t=std_t,
         window=(float(used[0]), float(used[1])),
-        clipped_negativity=clipped,
-        capture_fraction=captured, low_capture_warning=warning)
+        clipped_negativity=clipped, capture_fraction=captured,
+        low_capture_warning=captured < CAPTURE_THRESHOLD)
 
 
 def current_tof_distribution(result: EvolutionResult,
@@ -310,24 +312,18 @@ def distribution_distance(d1: TofDistribution, d2: TofDistribution,
                           ) -> tuple[float, float]:
     """(L1, Kolmogorov-Smirnov) distance between two arrival densities.
 
-    Both densities are resampled onto a common uniform grid spanning the
-    union of the windows by linear interpolation (zero outside each
-    window). Disjoint windows are an error.
+    Both densities are interpolated linearly (zero outside each window)
+    onto the union of their sample times, which holds both piecewise-linear
+    densities exactly. Disjoint windows are an error.
     """
     a1, b1 = d1.window
     a2, b2 = d2.window
     if min(b1, b2) <= max(a1, a2):
         raise PreconditionError(
             f"windows {d1.window} and {d2.window} do not overlap")
-    if np.array_equal(d1.times, d2.times):
-        grid, f1, f2 = d1.times, d1.density, d2.density
-    else:
-        step = min(float(np.min(np.diff(d1.times))),
-                   float(np.min(np.diff(d2.times))))
-        n = int(math.ceil((max(b1, b2) - min(a1, a2)) / step)) + 1
-        grid = np.linspace(min(a1, a2), max(b1, b2), n)
-        f1 = np.interp(grid, d1.times, d1.density, left=0.0, right=0.0)
-        f2 = np.interp(grid, d2.times, d2.density, left=0.0, right=0.0)
+    grid = np.union1d(d1.times, d2.times)
+    f1 = np.interp(grid, d1.times, d1.density, left=0.0, right=0.0)
+    f2 = np.interp(grid, d2.times, d2.density, left=0.0, right=0.0)
     l1 = float(np.trapezoid(np.abs(f1 - f2), grid))
     ks = float(np.max(np.abs(_cumtrapz(f1, grid) - _cumtrapz(f2, grid))))
     return l1, ks

@@ -206,9 +206,10 @@ def snapshot_run(tmp_path, command, text):
 
 
 def test_ep_test_snapshots_one_directory_per_solve(tmp_path, capsys):
-    # each accelerated-frame run shares its gravity run's solve and snapshots
+    # each run is its own closed-form solve and writes its own snapshots
     dirs, on_disk, listed = snapshot_run(tmp_path, "ep-test", SMALL_DROP)
-    assert dirs == {"particle1_gravity", "particle2_gravity",
+    assert dirs == {"particle1_gravity", "particle1_accelerated_frame",
+                    "particle2_gravity", "particle2_accelerated_frame",
                     "control_accelerated_frame"}
     assert on_disk and sorted(on_disk) == sorted(listed)
 

@@ -12,7 +12,6 @@ from qfall import (
     DEFAULT_CONFIG_TEXT,
     GRAVITY,
     STATE_FAMILIES,
-    BoundaryBreachError,
     ConfigurationError,
     ExperimentConfig,
     LinearPotentialParams,
@@ -29,7 +28,6 @@ from qfall import (
     ehrenfest_tof,
     exact_wavefunction,
     fit_power_law,
-    make_grid,
     parse_config_text,
     plan_domain,
     run_decoherence_comparison,
@@ -38,9 +36,8 @@ from qfall import (
     run_mass_sweep,
     semiclassical_sigma_tof,
     split_step_evolve,
-    split_step_evolve_many,
 )
-from qfall import experiments, tof
+from qfall import evolve, experiments, tof
 from conftest import (EPS_RATIO, EXTREME_CONFIGS, largest_prime_factor,
                       short_default)
 
@@ -358,63 +355,93 @@ def test_decoherence_requires_cat():
 
 # --- manifest warnings ------------------------------------------------------------
 
-@pytest.mark.parametrize("runner,particles,norm_runs,capture_runs", [
+@pytest.mark.parametrize("runner,particles,capture_runs", [
     (run_galileo_pair, [gaussian_particle(), gaussian_particle(2.0, 2.0)],
-     ["particle1_gravity", "particle2_gravity"],
      ["particle1_gravity", "particle2_gravity"]),
     (run_decoherence_comparison,
      [Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(1, 1))],
-     ["pure", "branch_plus", "branch_minus"], ["pure", "mixture"]),
+     ["pure", "mixture"]),
 ])
-def test_manifest_warns_on_norm_drift_and_low_capture(
-        monkeypatch, runner, particles, norm_runs, capture_runs):
-    def drifting(*args, **kwargs):
-        results = split_step_evolve_many(*args, **kwargs)
-        for result in results:
-            result.norms = result.norms + 2e-10
-        return results
-
-    monkeypatch.setattr(experiments, "split_step_evolve_many", drifting)
+def test_manifest_warns_on_low_capture(monkeypatch, runner, particles,
+                                       capture_runs):
     monkeypatch.setattr(tof, "CAPTURE_THRESHOLD", 2.0)  # no window meets it
     warnings = runner(config_for(particles)).manifest["warnings"]
-    drift = [w.split(":")[0] for w in warnings if "|1 - norm|" in w]
-    capture = [w.split(":")[0] for w in warnings if "captured" in w]
-    assert (drift, capture) == (norm_runs, capture_runs)
-    assert len(warnings) == len(norm_runs) + len(capture_runs)
+    assert [w.split(":")[0] for w in warnings] == capture_runs
+    assert all("captured" in w for w in warnings)
+
+
+def planned_domains(patch):
+    """Record every domain the experiments plan."""
+    planned = []
+
+    def plan(*args, **kwargs):
+        planned.append(plan_domain(*args, **kwargs))
+        return planned[-1]
+
+    patch.setattr(experiments, "plan_domain", plan)
+    return planned
 
 
 @pytest.fixture(scope="module")
-def default_drop_runs():
-    """(config, report, solver runs) of the default drop."""
+def default_drop_runs(tmp_path_factory):
+    """(config, report, oracle runs) of the default drop with end-point
+    snapshots. Each oracle run is the split-step solve of one drop on the
+    domain planned for its snapshots, on the drop's clock and probe."""
     config = parse_config_text(DEFAULT_CONFIG_TEXT)
-    runs = []
-
-    def kept(*args, **kwargs):
-        runs.extend(split_step_evolve_many(*args, **kwargs))
-        return runs[-len(args[0]):]
-
+    config = replace(config, solver=replace(config.solver, snapshot_stride=4096),
+                     output_dir=str(tmp_path_factory.mktemp("default_drop")))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "split_step_evolve_many", kept)
-        return config, run_galileo_pair(config), runs
+        planned = planned_domains(patch)
+        report = run_galileo_pair(config)
+    runs = [split_step_evolve(
+        build_wavefunction(particle.spec, grid),
+        LinearPotentialParams(particle.mass, config.field_strength), rec["dt"],
+        config.solver.time_steps, probe_z=config.z_detector)
+        for particle, grid, rec in zip(config.particles, planned,
+                                       report.records)]
+    return config, report, runs
 
 
 def test_drop_density_is_the_current_distribution_of_its_run(default_drop_runs):
-    # the window comes from the planned crossing, not the run's numeric
-    # moments, and selects the same samples
+    # the closed-form current on the solver's record times: the same window
+    # samples, and the density within roundoff of the split-step probe's
     config, report, runs = default_drop_runs
     assert len(runs) == 2
     for run, dist in zip(runs, report.distributions.values()):
         own = current_tof_distribution(run, run.params, config.z_detector,
                                        config.solver.window_sigmas)
         assert dist.times.tobytes() == own.times.tobytes()
-        assert dist.density.tobytes() == own.density.tobytes()
+        assert np.max(np.abs(dist.density - own.density)) <= 1e-11
+        assert dist.mean_t == pytest.approx(own.mean_t, rel=1e-12, abs=0.0)
+        assert dist.std_t == pytest.approx(own.std_t, rel=1e-12, abs=0.0)
 
 
 def test_manifest_headroom_is_the_solver_headroom(default_drop_runs):
     _, report, runs = default_drop_runs
     logged = report.manifest["runs"]
-    assert [logged[f"particle{i}_gravity"]["nyquist_headroom"]
-            for i in (1, 2)] == [run.nyquist_headroom for run in runs]
+    for i, run in enumerate(runs, start=1):
+        entry = logged[f"particle{i}_gravity"]
+        assert entry["grid_points"] == run.final_field.grid.n_points
+        assert entry["nyquist_headroom"] == pytest.approx(
+            run.nyquist_headroom, rel=1e-12, abs=0.0)
+
+
+def test_sampling_error_sits_beside_the_solver_tolerance(default_drop_runs):
+    # tof_mean and tof_std of each density recomputed on every second sample
+    # move by far less than the tolerance
+    _, report, _ = default_drop_runs
+    gaps = []
+    for dist in report.distributions.values():
+        t, density = dist.times[::2], dist.density[::2]
+        density = density / np.trapezoid(density, t)
+        mean = np.trapezoid(t * density, t)
+        std = math.sqrt(np.trapezoid((t - mean) ** 2 * density, t))
+        gaps.append((abs(mean - dist.mean_t), abs(std - dist.std_t)))
+    summary = report.summary
+    for key, gap in zip(("sampling_error_tof_mean", "sampling_error_tof_std"),
+                        np.max(gaps, axis=0)):
+        assert summary[key] == pytest.approx(gap, rel=1e-9, abs=0.0)
+        assert 0.0 < summary[key] < 1e-3 * summary["solver_tolerance"]
 
 
 def test_mixture_widens_to_the_branch_union(monkeypatch):
@@ -502,27 +529,27 @@ def test_one_key_magnitudes_run_or_raise_typed_errors(section_key, exponent,
         pass
 
 
-# --- solver loops -----------------------------------------------------------------
+# --- closed-form engine -----------------------------------------------------------
 
-def loop_sizes(monkeypatch):
-    """Record the rows of every solver loop an experiment runs."""
-    sizes = []
+def test_each_drop_is_one_closed_form_call(monkeypatch):
+    """Every drop is its own `arrival_current` call on the record times,
+    and no experiment runs the split-step solver."""
+    calls = []
 
-    def counted(initials, *args, **kwargs):
-        sizes.append([f.grid.n_points for f in initials])
-        return split_step_evolve_many(initials, *args, **kwargs)
+    def counted(spec, params, z_d, times, unit):
+        calls.append((params.mode, len(times)))
+        return evolve.arrival_current(spec, params, z_d, times, unit)
 
-    monkeypatch.setattr(experiments, "split_step_evolve_many", counted)
-    return sizes
-
-
-def test_same_size_drops_share_one_loop(monkeypatch):
-    sizes = loop_sizes(monkeypatch)
+    monkeypatch.setattr(experiments, "arrival_current", counted)
+    monkeypatch.setattr(evolve, "split_step_evolve_many", None)
     cat = Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(1, 1))
     run_decoherence_comparison(config_for([cat]))
-    run_equivalence_test(config_for([gaussian_particle()]))
-    assert [len(rows) for rows in sizes] == [3, 2]
-    assert all(len(set(rows)) == 1 for rows in sizes)
+    run_equivalence_test(drop_pair(1.5))
+    run_galileo_pair(replace(drop_pair(1.5), solver=SolverSettings(
+        time_steps=1000, record_stride=3)))
+    assert calls == [(GRAVITY, 1025)] * 3 + [
+        (GRAVITY, 1025), (ACCELERATED_FRAME, 1025), (ACCELERATED_FRAME, 1025),
+        (GRAVITY, 1025), (ACCELERATED_FRAME, 1025)] + [(GRAVITY, 335)] * 2
 
 
 def drop_pair(mass):
@@ -532,47 +559,42 @@ def drop_pair(mass):
         Particle(WavepacketSpec.gaussian(2.0, 1.0), MassPair(mass, mass))])
 
 
-def test_runs_with_snapshots_share_loops(monkeypatch, tmp_path):
-    sizes = loop_sizes(monkeypatch)
+def test_snapshots_leave_the_records_unchanged(tmp_path):
     config = drop_pair(1.5)
     plain = run_equivalence_test(config)
     snapped = run_equivalence_test(replace(
         config, solver=SolverSettings(time_steps=1024, snapshot_stride=512),
         output_dir=str(tmp_path)))
-    assert sizes == [[1250, 1250, 1250]] * 2
     for a, b in zip(snapped.records, plain.records):
         a.pop("config_digest"), b.pop("config_digest")
         assert json.dumps(a) == json.dumps(b)  # bitwise, NaN included
-    # steps 0, 512, 1024 of the three solves; each accelerated-frame run
-    # shares its gravity run's solve and snapshots (`solved_with`)
-    assert len(snapped.manifest["snapshots"]) == 3 * 3
+    # steps 0, 512 and 1024 of each of the five runs, each on its own grid
+    assert len(snapped.manifest["snapshots"]) == 5 * 3
+    assert plain.manifest["runs"] == {}
+    assert sorted(snapped.manifest["runs"]) == sorted(
+        f"{rec['label']}_{rec['mode']}" for rec in snapped.records)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "npz"])
 def test_snapshots_are_the_exact_fields(monkeypatch, tmp_path, fmt):
-    """Each listed snapshot holds `exact_wavefunction` on the solve grid at
+    """Each listed snapshot holds `exact_wavefunction` on the planned grid at
     t = j K dt, with the stride K not rounded to the record stride."""
-    planned = []
-
-    def plan(*args, **kwargs):
-        planned.append(plan_domain(*args, **kwargs))
-        return planned[-1]
-
-    monkeypatch.setattr(experiments, "plan_domain", plan)
+    planned = planned_domains(monkeypatch)
     particle = gaussian_particle()
     solver = SolverSettings(time_steps=1024, record_stride=8,
                             snapshot_stride=300)
     report = run_equivalence_test(config_for(
         [particle], accel_factor=0.0, solver=solver, snapshot_format=fmt,
         output_dir=str(tmp_path)))
-    [domain] = planned  # gravity and the accelerated frame share one domain
-    grid = make_grid(domain.z_min, domain.z_max, report.manifest["runs"][
-        "particle1_gravity"]["grid_points"])
+    [grid] = planned  # gravity and the accelerated frame share one domain
+    assert report.manifest["runs"]["particle1_gravity"]["grid_points"] \
+        == grid.n_points
     times = [step * report.records[0]["dt"] for step in (0, 300, 600, 900)]
     params = LinearPotentialParams(particle.mass, 1.0)
     exact = np.array([exact_wavefunction(particle.spec, params, t, grid)
                       .amplitudes for t in times])
-    paths = [tmp_path / path for path in report.manifest["snapshots"]]
+    paths = [tmp_path / path for path in report.manifest["snapshots"]
+             if path.startswith("snapshots/particle1_gravity/")]
     if fmt == "npz":
         [path] = paths
         bundle = np.load(path)
@@ -589,67 +611,69 @@ def test_snapshots_are_the_exact_fields(monkeypatch, tmp_path, fmt):
 
 
 @pytest.fixture(scope="module")
-def sized_pairs():
-    """mass -> (report, rows of each solver loop) for the light and heavy
-    drop pairs on their planned grids."""
-    pairs = {}
-    with pytest.MonkeyPatch.context() as patch:
-        for mass in (1.5, 16.0):
-            sizes = loop_sizes(patch)
-            pairs[mass] = (run_galileo_pair(drop_pair(mass)), sizes)
-    return pairs
+def sized_pairs(tmp_path_factory):
+    """mass -> report of the light and heavy drop pairs with end-point
+    snapshots, so each drop plans its own grid."""
+    return {mass: run_galileo_pair(replace(
+        drop_pair(mass), output_dir=str(tmp_path_factory.mktemp("sized")),
+        solver=SolverSettings(time_steps=1024, snapshot_stride=1024)))
+        for mass in (1.5, 16.0)}
 
 
-def test_drop_pairs_share_a_loop_within_the_size_factor(sized_pairs):
-    # planned: cat 1,080 and Gaussian 1,250 points at m = 1.5 (1.16x apart);
-    # cat 5,760 and Gaussian 2,880 at m = 16 (2x apart)
-    assert sized_pairs[1.5][1] == [[1250, 1250]]
-    assert sized_pairs[16.0][1] == [[5760], [2880]]
-    for report, sizes in sized_pairs.values():
-        solved = [n for rows in sizes for n in rows]
-        assert [rec["grid_points"] for rec in report.records] == solved
+def test_snapshot_runs_log_their_planned_grids(sized_pairs):
+    # planned: cat 1,080 and Gaussian 1,250 points at m = 1.5; cat 5,760 and
+    # Gaussian 2,880 at m = 16
+    planned = {1.5: [1080, 1250], 16.0: [5760, 2880]}
+    for mass, report in sized_pairs.items():
         runs = report.manifest["runs"]
         assert [runs[f"particle{i}_gravity"]["grid_points"]
-                for i in (1, 2)] == solved
-        # the solver refuses a run below 2x headroom; a right-sized grid
-        # keeps it under 4x
+                for i in (1, 2)] == planned[mass]
+        # the solver would refuse a run below 2x headroom; a right-sized
+        # grid keeps it under 4x
         assert all(2.0 <= run["nyquist_headroom"] < 4.0
                    for run in runs.values())
 
 
-def test_default_drop_runs_one_loop(monkeypatch):
-    # planned: cat 1,152 and Gaussian 1,800 points (1.5625x apart)
-    sizes = loop_sizes(monkeypatch)
-    run_galileo_pair(parse_config_text(DEFAULT_CONFIG_TEXT))
-    assert sizes == [[1800, 1800]]
+@pytest.mark.parametrize("mass", [1.5, 16.0])
+def test_right_sized_grid_keeps_the_physics(monkeypatch, tmp_path,
+                                            sized_pairs, mass):
+    right = sized_pairs[mass]
+    monkeypatch.setattr(experiments, "fft_size",
+                        lambda need: 2 ** math.ceil(math.log2(need)))
+    power_of_two = run_galileo_pair(replace(
+        drop_pair(mass), output_dir=str(tmp_path),
+        solver=SolverSettings(time_steps=1024, snapshot_stride=1024)))
+    for name, run in power_of_two.manifest["runs"].items():
+        assert run["grid_points"] in (2048, 4096, 8192)
+        assert right.manifest["runs"][name]["grid_points"] < run["grid_points"]
+    # the grid serves the snapshots only; the records do not read it
+    for a, b in zip(right.records, power_of_two.records):
+        for key in ("tof_mean", "tof_std", "t_mean_crossing"):
+            assert a[key] == b[key]
 
 
-def test_equal_solver_inputs_are_solved_once(monkeypatch):
-    sizes = loop_sizes(monkeypatch)
-    config = drop_pair(1.5)  # cat and Gaussian, with the a = 2g control
-    shared = run_equivalence_test(config)
-    assert sizes == [[1250, 1250, 1250]]
-    assert {name: run.get("solved_with")
-            for name, run in shared.manifest["runs"].items()} == {
-        "particle1_gravity": None,
-        "particle1_accelerated_frame": "particle1_gravity",
-        "control_accelerated_frame": None,
-        "particle2_gravity": None,
-        "particle2_accelerated_frame": "particle2_gravity"}
-    monkeypatch.setattr(experiments, "_solver_inputs", lambda drop: drop.name)
-    apart = run_equivalence_test(config)
-    assert [len(rows) for rows in sizes[1:]] == [5]
-    assert all("solved_with" not in run
-               for run in apart.manifest["runs"].values())
-    for a, b in ((shared.records, apart.records),
-                 (shared.summary, apart.summary)):
-        assert json.dumps(a) == json.dumps(b)  # bitwise, NaN included
+@pytest.mark.parametrize("mass", [256.0, 4096.0])
+def test_heavy_drops_run_without_a_grid(tmp_path, mass):
+    """No grid holds these drops (86,400 and 1,382,400 points); without
+    snapshots none is planned."""
+    text = DEFAULT_CONFIG_TEXT + "".join(
+        f"\n[particle{i}]\nm_inertial = {mass}\nm_gravitational = {mass}\n"
+        for i in (1, 2))
+    config = replace(parse_config_text(text), output_dir=str(tmp_path))
+    report = run_galileo_pair(config)
+    for rec in report.records:
+        assert rec["capture_fraction"] >= 0.999
+        assert rec["t_mean_crossing"] == rec["t_ehrenfest"]
+        assert math.isfinite(rec["tof_mean"]) and math.isfinite(rec["tof_std"])
+    assert report.manifest["runs"] == {} and report.manifest["warnings"] == []
+    with pytest.raises(ConfigurationError, match="above the cap 65536"):
+        run_galileo_pair(replace(config, solver=replace(
+            config.solver, snapshot_stride=4096)))
 
 
 def test_a_mode_fault_still_fails_the_equivalence_test(monkeypatch):
-    """Runs are shared by solver inputs, never by mode: a wrong accelerated-
-    frame coupling gives separate solves and a failing identity check."""
-    sizes = loop_sizes(monkeypatch)
+    """Each drop is its own closed-form call: a wrong accelerated-frame
+    coupling shows as a nonzero identity L1 and a failing test."""
 
     def coupling_mass(params):
         if params.mode == ACCELERATED_FRAME:
@@ -659,31 +683,5 @@ def test_a_mode_fault_still_fails_the_equivalence_test(monkeypatch):
     monkeypatch.setattr(LinearPotentialParams, "coupling_mass",
                         property(coupling_mass))
     report = run_equivalence_test(drop_pair(1.5))
-    assert [len(rows) for rows in sizes] == [5]
     assert report.summary["max_identity_l1"] > 1e-10
     assert report.summary["passed"] is False
-    assert all("solved_with" not in run
-               for run in report.manifest["runs"].values())
-
-
-@pytest.mark.parametrize("mass", [1.5, 16.0])
-def test_right_sized_grid_keeps_the_physics(monkeypatch, sized_pairs, mass):
-    right = sized_pairs[mass][0].records
-    monkeypatch.setattr(experiments, "fft_size",
-                        lambda need: 2 ** math.ceil(math.log2(need)))
-    power_of_two = run_galileo_pair(drop_pair(mass)).records
-    for a, b in zip(right, power_of_two):
-        assert b["grid_points"] in (2048, 4096, 8192)
-        assert a["grid_points"] < b["grid_points"]
-        for key in ("tof_mean", "tof_std", "t_mean_crossing"):
-            assert a[key] == pytest.approx(b[key], rel=1e-12, abs=0.0)
-
-
-def test_boundary_breach_names_the_experiment_run(monkeypatch):
-    monkeypatch.setattr(experiments, "plan_domain",
-                        lambda *args, **kwargs: make_grid(-6.0, 12.0, 1024))
-    with pytest.raises(BoundaryBreachError) as excinfo:
-        run_equivalence_test(config_for([gaussian_particle()]))
-    assert excinfo.value.run == "particle1_gravity"
-    assert excinfo.value.step_index > 0
-    assert "run particle1_gravity)" in str(excinfo.value)
