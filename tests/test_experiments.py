@@ -356,11 +356,12 @@ def test_decoherence_requires_cat():
 # --- manifest warnings ------------------------------------------------------------
 
 @pytest.mark.parametrize("runner,particles,capture_runs", [
-    (run_galileo_pair, [gaussian_particle(), gaussian_particle(2.0, 2.0)],
-     ["particle1_gravity", "particle2_gravity"]),
-    (run_decoherence_comparison,
-     [Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(1, 1))],
-     ["pure", "mixture"]),
+    pytest.param(run_galileo_pair,
+                 [gaussian_particle(), gaussian_particle(2.0, 2.0)],
+                 ["particle1_gravity", "particle2_gravity"], id="galileo_pair"),
+    pytest.param(run_decoherence_comparison,
+                 [Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(1, 1))],
+                 ["pure", "mixture"], id="decoherence_comparison"),
 ])
 def test_manifest_warns_on_low_capture(monkeypatch, runner, particles,
                                        capture_runs):
