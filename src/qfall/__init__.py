@@ -61,7 +61,6 @@ from .evolve import (
     moment_evolution,
     refine_timestep,
     split_step_evolve,
-    split_step_evolve_many,
 )
 from .tof import (
     TofDistribution,

@@ -58,8 +58,8 @@ class InfeasibleTargetError(SimulationError):
 
 class BoundaryBreachError(SimulationError):
     """Probability reached the edge of the periodic domain mid-run; carries
-    the step and the run (the row of a solver loop) where it did."""
+    the step where it did."""
 
-    def __init__(self, message, step_index, run=0):
-        self.step_index, self.run = step_index, run
-        super().__init__(f"{message} (step {step_index}, run {run})")
+    def __init__(self, message, step_index):
+        self.step_index = step_index
+        super().__init__(f"{message} (step {step_index})")

@@ -16,9 +16,8 @@ Engines:
 * the same transform applied to the free Gaussian branches, which gives
   the detector current in closed form (`arrival_current`);
 * a Strang split-operator spectral solver (`split_step_evolve`) with fused
-  half kicks: one transform pair per step, and none more per record;
-  `split_step_evolve_many` steps runs of one grid size as rows of one
-  array. It is the independent oracle of the two closed forms.
+  half kicks, which steps one run: one transform pair per step, and none
+  more per record. It is the independent oracle of the two closed forms.
 
 For a linear potential the Strang commutator defect is a c-number, so the
 split solution differs from the exact one by a pure global phase
@@ -61,7 +60,6 @@ __all__ = [
     "exact_wavefunction",
     "arrival_current",
     "split_step_evolve",
-    "split_step_evolve_many",
     "default_timestep",
     "refine_timestep",
     "dump_snapshots",
@@ -74,6 +72,9 @@ ACCELERATED_FRAME = "accelerated_frame"
 # run aborts; prevents silent wraparound on the periodic domain.
 BOUNDARY_TOL = 1e-10
 BOUNDARY_CELLS = 5
+# Factor by which a split-step grid must out-resolve the momentum a run
+# acquires.
+NYQUIST_MARGIN = 2.0
 
 
 @dataclass(frozen=True)
@@ -234,36 +235,21 @@ def arrival_current(spec: WavepacketSpec, params: LinearPotentialParams,
     return current
 
 
-def default_timestep(t_total: float, steps: int = 4096) -> float:
+def default_timestep(t_total: float) -> float:
     """Default dt: the total evolution time divided into 4096 steps."""
     if t_total <= 0:
         raise PreconditionError("total time must be positive")
-    return t_total / steps
+    return t_total / 4096
 
 
 def split_step_evolve(initial: GridField, params: LinearPotentialParams,
-                      dt: float, n_steps: int, *,
-                      probe_z: float | None = None, **options) -> EvolutionResult:
-    """One run: the one-row case of :func:`split_step_evolve_many`, which
-    takes the same keyword `options` and documents the scheme and checks."""
-    return split_step_evolve_many([initial], [params], [dt], n_steps,
-                                  probe_zs=[probe_z], **options)[0]
-
-
-def split_step_evolve_many(initials, params, dts, n_steps: int, *,
-                           probe_zs, unit: UnitSystem = DEFAULT_UNITS,
-                           record_stride: int = 1,
-                           boundary_tol: float = BOUNDARY_TOL,
-                           nyquist_margin: float = 2.0,
-                           ) -> list[EvolutionResult]:
+                      dt: float, n_steps: int, *, probe_z: float | None = None,
+                      unit: UnitSystem = DEFAULT_UNITS,
+                      record_stride: int = 1) -> EvolutionResult:
     """Strang-split spectral evolution: half kick, full drift, half kick.
 
-    Run r takes n_steps steps of dts[r] from initials[r] under params[r],
-    probing the current at probe_zs[r] (None: no probe). The runs share
-    n_points and are the rows of one array, so a step is one kick, one
-    transform pair and one kinetic phase for all of them; each row keeps
-    its own grid, dt, force, probe and record, and equals its solo run bit
-    for bit.
+    One run of n_steps steps of dt from `initial`, probing the current at
+    `probe_z` (None: no probe).
 
     Adjacent half kicks merge: the loop carries chi = exp(+i F z dt / 2
     hbar) psi, and each step is one full kick, a transform, the kinetic
@@ -279,111 +265,79 @@ def split_step_evolve_many(initials, params, dts, n_steps: int, *,
     step, with <p> shifted by the same boost. Negative dt runs the inverse
     evolution, used for reversibility checks.
 
-    Each run is checked on its own. Raises :class:`PreconditionError` if
-    an initial field is not unit-norm (to 1e-6), :class:`ConfigurationError`
-    if the runs differ in n_points, a probe is off its grid, or a grid
-    cannot represent the momentum its run acquires (from the initial <p>
-    and var_p) with a factor ``nyquist_margin`` to spare (the factor it has
-    is the result's ``nyquist_headroom``), and
-    :class:`BoundaryBreachError` (with the step and the run's row) if
-    probability reaches the domain edges mid-run.
+    Raises :class:`PreconditionError` if the initial field is not unit-norm
+    (to 1e-6), :class:`ConfigurationError` if the probe is off the grid or
+    the grid cannot represent the momentum the run acquires (from the
+    initial <p> and var_p) with a factor ``NYQUIST_MARGIN`` to spare (the
+    factor it has is the result's ``nyquist_headroom``), and
+    :class:`BoundaryBreachError` (with the step) if probability reaches the
+    domain edges mid-run.
     """
-    rows = len(initials)
-    if {len(params), len(dts), len(probe_zs)} != {rows} \
-            or len({f.grid.n_points for f in initials}) != 1:
-        raise ConfigurationError("each run needs its params, dt and probe_z, "
-                                 "and all share n_points")
-    if 0 in dts:
+    if dt == 0:
         raise PreconditionError("dt must be nonzero")
     if n_steps < 0:
         raise PreconditionError("n_steps must be nonnegative")
     if record_stride < 1:
         raise PreconditionError("record_stride must be >= 1")
-    for initial in initials:
-        if abs((nval := norm(initial)) - 1.0) > 1e-6:
-            raise PreconditionError(f"field norm is {nval!r}, expected 1")
-    hbar = unit.hbar
-    grids = [f.grid for f in initials]
-    dzs = [grid.spacing for grid in grids]
-    z = np.array([grid.points for grid in grids])
-    k = np.array([grid.wavenumbers for grid in grids])
-    force, tau, mi = (np.array(column, dtype=float)[:, None] for column in (
-        [par.force for par in params], dts,
-        [par.mass.m_inertial for par in params]))
-    half_kick = np.exp(-1j * force * z * tau / (2.0 * hbar))
-    kick = np.exp(-1j * force * z * tau / hbar)
-    kinetic = np.exp(-1j * hbar * k**2 * tau / (2.0 * mi))
-    p_shifts = [-0.5 * par.force * dt for par, dt in zip(params, dts)]
+    if abs((nval := norm(initial)) - 1.0) > 1e-6:
+        raise PreconditionError(f"field norm is {nval!r}, expected 1")
+    hbar, grid, force = unit.hbar, initial.grid, params.force
+    z, dz, mi = grid.points, grid.spacing, params.mass.m_inertial
+    half_kick = np.exp(-1j * force * z * dt / (2.0 * hbar))
+    kick = np.exp(-1j * force * z * dt / hbar)
+    kinetic = np.exp(-1j * hbar * grid.wavenumbers**2 * dt / (2.0 * mi))
+    p_shift = -0.5 * force * dt
     edges = np.r_[:BOUNDARY_CELLS, -BOUNDARY_CELLS:0]
 
-    chi = np.array([f.amplitudes for f in initials]) / half_kick
+    chi = initial.amplitudes / half_kick
     spectrum = np.fft.fft(chi)
-    initial_moments = [spectral_moments(c, s, grid, hbar, shift) for c, s, grid,
-                       shift in zip(chi, spectrum, grids, p_shifts)]
-    headrooms = []
-    for grid, par, dt, probe_z, m0 in zip(grids, params, dts, probe_zs,
-                                          initial_moments):
-        p_reach = _momentum_reach(m0, par.force * abs(dt) * n_steps)
-        headrooms.append(hbar * grid.k_max / p_reach)
-        if headrooms[-1] < nyquist_margin:
-            raise ConfigurationError(
-                f"grid resolves momenta up to {hbar * grid.k_max:.4g} but the "
-                f"run acquires {p_reach:.4g} (margin {nyquist_margin}); "
-                "refine the grid")
-        if probe_z is not None and not (grid.z_min <= probe_z < grid.z_max):
-            raise ConfigurationError(f"probe at {probe_z} outside the domain")
-    weights = [None if probe_z is None else probe_weights(grid, probe_z)
-               for grid, probe_z in zip(grids, probe_zs)]
+    initial_moments = spectral_moments(chi, spectrum, grid, hbar, p_shift)
+    p_reach = _momentum_reach(initial_moments, force * abs(dt) * n_steps)
+    headroom = hbar * grid.k_max / p_reach
+    if headroom < NYQUIST_MARGIN:
+        raise ConfigurationError(
+            f"grid resolves momenta up to {hbar * grid.k_max:.4g} but the "
+            f"run acquires {p_reach:.4g} (margin {NYQUIST_MARGIN}); "
+            "refine the grid")
+    if probe_z is not None and not (grid.z_min <= probe_z < grid.z_max):
+        raise ConfigurationError(f"probe at {probe_z} outside the domain")
+    weights = None if probe_z is None else probe_weights(grid, probe_z)
 
     n_records = n_steps // record_stride + 1 + (n_steps % record_stride > 0)
-    norms, mean_z, currents = np.empty((3, rows, n_records))
+    norms, mean_z, currents = np.empty((3, n_records))
     recorded = []
     z_chi = np.empty_like(chi)
-    per_row = list(zip(chi, z_chi, spectrum, weights, dzs, params, p_shifts))
 
     def record(step: int):
         # the same quadratures as spectral_moments, without its transform
         i = len(recorded)
         recorded.append(step)
         np.multiply(z, chi, out=z_chi)
-        for r, (c, zc, s, w, dz, par, shift) in enumerate(per_row):
-            norms[r, i] = math.sqrt(float(np.vdot(c, c).real) * dz)
-            mean_z[r, i] = float(np.vdot(c, zc).real) * dz
-            if w is not None:
-                currents[r, i] = probe_current(w, s, hbar, par.mass.m_inertial,
-                                               shift)
+        norms[i] = math.sqrt(float(np.vdot(chi, chi).real) * dz)
+        mean_z[i] = float(np.vdot(chi, z_chi).real) * dz
+        if weights is not None:
+            currents[i] = probe_current(weights, spectrum, hbar, mi, p_shift)
 
-    # The per-row edge test runs when a screen over all rows trips; the
-    # screen's margin covers its different summation order.
-    screen, dz_max = boundary_tol * (1.0 - 1e-9), max(dzs)
     record(0)
     for step in range(1, n_steps + 1):
         chi *= kick
         np.fft.fft(chi, out=spectrum)
         spectrum *= kinetic
         np.fft.ifft(spectrum, out=chi)
-        edge = chi.take(edges, axis=1)
-        if float(np.vdot(edge, edge).real) * dz_max > screen:
-            for r, (e, dz) in enumerate(zip(edge, dzs)):
-                edge_prob = float(np.vdot(e, e).real) * dz
-                if edge_prob > boundary_tol:
-                    raise BoundaryBreachError(
-                        f"probability {edge_prob:.3e} reached the domain edge",
-                        step, r)
+        edge = chi.take(edges)
+        if (edge_prob := float(np.vdot(edge, edge).real) * dz) > BOUNDARY_TOL:
+            raise BoundaryBreachError(
+                f"probability {edge_prob:.3e} reached the domain edge", step)
         if step % record_stride == 0 or step == n_steps:
             record(step)
 
-    recorded = np.array(recorded)
-    return [EvolutionResult(
-        times=recorded * dt, mean_z=mean_z[r], norms=norms[r],
-        initial_moments=initial_moments[r],
-        final_moments=spectral_moments(chi[r], spectrum[r], grid, hbar,
-                                       p_shifts[r]),
-        final_field=GridField(grid, half_kick[r] * chi[r]),
-        params=params[r], dt=dt, nyquist_headroom=headrooms[r],
-        probe_z=probe_zs[r],
-        probe_current=None if weights[r] is None else currents[r],
-    ) for r, (grid, dt) in enumerate(zip(grids, dts))]
+    return EvolutionResult(
+        times=np.array(recorded) * dt, mean_z=mean_z, norms=norms,
+        initial_moments=initial_moments,
+        final_moments=spectral_moments(chi, spectrum, grid, hbar, p_shift),
+        final_field=GridField(grid, half_kick * chi), params=params, dt=dt,
+        nyquist_headroom=headroom, probe_z=probe_z,
+        probe_current=None if weights is None else currents)
 
 
 def _momentum_reach(m0: MomentSet, impulse: float) -> float:
@@ -409,11 +363,10 @@ def probe_current(weights: np.ndarray, psi_k: np.ndarray, hbar: float,
 def refine_timestep(spec: WavepacketSpec, params: LinearPotentialParams,
                     t_total: float, grid: SpatialGrid,
                     unit: UnitSystem = DEFAULT_UNITS, dt0: float | None = None,
-                    target_error: float = 1e-8,
-                    ratio_band: tuple[float, float] = (3.5, 4.5),
-                    max_halvings: int = 8) -> dict:
-    """Halve dt until the order-check ratio stabilizes and the split-step
-    error against the exact propagator drops below `target_error`.
+                    target_error: float = 1e-8) -> dict:
+    """Halve dt, at most 8 times, until the order-check ratio stabilizes in
+    [3.5, 4.5] and the split-step error against the exact propagator drops
+    below `target_error`.
 
     Returns a dict with the refined ``dt``, the per-level L2 ``errors``
     against :func:`exact_wavefunction`, and the halving ``ratios`` (each
@@ -433,8 +386,8 @@ def refine_timestep(spec: WavepacketSpec, params: LinearPotentialParams,
 
     errors = [l2_error(dt, n)]
     ratios: list[float] = []
-    for _ in range(max_halvings):
-        stable = ratios and ratio_band[0] <= ratios[-1] <= ratio_band[1]
+    for _ in range(8):
+        stable = ratios and 3.5 <= ratios[-1] <= 4.5
         if errors[-1] <= target_error and (stable or errors[-1] < 1e-12):
             break
         dt /= 2.0

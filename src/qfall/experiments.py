@@ -101,8 +101,11 @@ class SolverSettings:
     window_sigmas: float = WINDOW_SIGMAS
 
     def __post_init__(self):
-        if self.time_steps < 16:
-            raise ConfigurationError("time_steps must be at least 16")
+        # The current is sampled at every step: arrival_current peaks at
+        # 176 B per sample, so the cap bounds one call near 740 MB.
+        if not 16 <= self.time_steps <= 2**22:
+            raise ConfigurationError(
+                "time_steps must be between 16 and 4194304 (2^22)")
         if self.record_stride < 1:
             raise ConfigurationError("record_stride must be >= 1")
         if self.snapshot_stride < 0:
@@ -190,14 +193,14 @@ def fit_power_law(x, y) -> tuple[float, float, float]:
 
 
 def plan_domain(entries, z_detector: float, t_final: float,
-                unit: UnitSystem = DEFAULT_UNITS, max_points: int = 2**16,
-                nyquist_margin: float = 2.5) -> SpatialGrid:
+                unit: UnitSystem = DEFAULT_UNITS,
+                max_points: int = 2**16) -> SpatialGrid:
     """Size the periodic domain for a set of (spec, params) drops.
 
     The grid must hold the fallen packet with its spread tails, the
     detector plane, and (for the exact propagator's intermediate) the
     packet spreading in place without falling. The spacing is set by the
-    largest momentum acquired during the run with `nyquist_margin` to
+    largest momentum acquired during the run with a factor 2.5 to
     spare and by the peak-width resolution requirement; the size is the
     smallest `fft_size`, and at least 1,024, that meets them."""
     tops, bottoms, spacings = [], [], []
@@ -217,7 +220,7 @@ def plan_domain(entries, z_detector: float, t_final: float,
         bottoms.append(min(min(fall), z_detector) - pad)
         p_reach = max(abs(m0.mean_p), abs(m0.mean_p - params.force * t_final)) \
             + 6.0 * math.sqrt(m0.var_p)
-        spacings.append(min(np.pi * unit.hbar / (nyquist_margin * p_reach),
+        spacings.append(min(np.pi * unit.hbar / (2.5 * p_reach),
                             spec.delta0 / 3.0))
     z_top, z_bot = max(tops), min(bottoms)
     need = (z_top - z_bot) / min(spacings)  # inf or nan if a scale overflowed

@@ -28,9 +28,9 @@ from qfall import (
     numeric_moments,
     plan_domain,
     split_step_evolve,
-    split_step_evolve_many,
 )
 
+from qfall import evolve
 from qfall.evolve import _exact_fields, probe_current, probe_weights
 
 from conftest import grid_for, random_cat
@@ -230,6 +230,7 @@ def test_boundary_guard_trips_with_step_index():
     with pytest.raises(BoundaryBreachError) as excinfo:
         split_step_evolve(field0, params_g(), 0.01, 2000, record_stride=2000)
     assert 0 < excinfo.value.step_index <= 2000
+    assert str(excinfo.value).endswith(f"(step {excinfo.value.step_index})")
 
 
 def test_nyquist_guard():
@@ -240,17 +241,17 @@ def test_nyquist_guard():
         split_step_evolve(field0, params_g(g=100.0), 0.01, 1000)
 
 
-def test_nyquist_headroom_is_the_guarded_quantity():
+def test_nyquist_headroom_is_the_guarded_quantity(monkeypatch):
     spec = WavepacketSpec.gaussian(0.0, 1.0)
     field0 = build_wavefunction(spec, make_grid(-20.0, 20.0, 1024))
     headroom = split_step_evolve(field0, params_g(), 0.01, 100,
                                  record_stride=100).nyquist_headroom
-    assert headroom > 2.0  # the default margin
-    split_step_evolve(field0, params_g(), 0.01, 100, record_stride=100,
-                      nyquist_margin=headroom)
-    with pytest.raises(ConfigurationError):
-        split_step_evolve(field0, params_g(), 0.01, 100, record_stride=100,
-                          nyquist_margin=headroom * (1.0 + 1e-12))
+    assert headroom > evolve.NYQUIST_MARGIN
+    monkeypatch.setattr(evolve, "NYQUIST_MARGIN", headroom)
+    split_step_evolve(field0, params_g(), 0.01, 100, record_stride=100)
+    monkeypatch.setattr(evolve, "NYQUIST_MARGIN", headroom * (1.0 + 1e-12))
+    with pytest.raises(ConfigurationError, match="margin"):
+        split_step_evolve(field0, params_g(), 0.01, 100, record_stride=100)
 
 
 def test_default_timestep():
@@ -330,10 +331,10 @@ def test_csv_snapshots_are_written_one_at_a_time(tmp_path):
 
 
 def test_record_costs_no_transform(monkeypatch):
-    """Each step is one transform pair, however many rows the loop carries.
-    On top of them a loop takes the initial spectrum of all rows (which
-    also feeds the Nyquist checks) and, per row, the inverse transform of
-    each of its two full moment sets, however often it records."""
+    """Each step is one transform pair. On top of them a run takes the
+    initial spectrum (which also feeds the Nyquist check) and the inverse
+    transform of each of its two full moment sets, however often it
+    records."""
     spec = WavepacketSpec.male_cat(0.0, 1.0, 1.0)
     grid = grid_for(spec, 512)
     field0 = build_wavefunction(spec, grid)
@@ -348,13 +349,6 @@ def test_record_costs_no_transform(monkeypatch):
     split_step_evolve(field0, params_g(), 0.004, n_steps, record_stride=1,
                       probe_z=probe)
     assert calls == {"fft": n_steps + 1, "ifft": n_steps + 2}
-    rows = 3
-    calls.update(fft=0, ifft=0)
-    split_step_evolve_many(
-        [field0] * rows, [params_g(g=1.0 + r) for r in range(rows)],
-        [0.004] * rows, n_steps, record_stride=1,
-        probe_zs=[probe] * rows)
-    assert calls == {"fft": n_steps + 1, "ifft": n_steps + 2 * rows}
 
 
 def test_non_unit_field_is_rejected():
@@ -443,7 +437,31 @@ def test_arrival_current_of_a_gaussian_ignores_c_minus():
                           arrival_current(odd, params_g(), 0.0, times))
 
 
-# --- several runs in one loop -------------------------------------------------
+# --- checks and bit-for-bit agreement of solo runs ---------------------------
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("flaw,error", [
+    ("norm", PreconditionError), ("nyquist", ConfigurationError),
+    ("probe", ConfigurationError), ("dt", PreconditionError),
+    ("n_steps", PreconditionError), ("record_stride", PreconditionError)])
+def test_each_row_is_checked_before_the_loop(seed, flaw, error):
+    """A run of a random cat (seeded by `seed`) with one flaw in its field,
+    field strength, probe, dt, step count or stride is rejected, naming the
+    flaw, before it takes a step."""
+    spec = random_cat(np.random.default_rng(seed))
+    field0 = build_wavefunction(spec, grid_for(spec, 1024))
+    run = dict(initial=field0, params=params_g(), dt=0.01, n_steps=1000,
+               probe_z=None, record_stride=1000)
+    run.update({
+        "norm": {"initial": GridField(field0.grid, 0.5 * field0.amplitudes)},
+        "nyquist": {"params": params_g(g=100.0)},
+        "probe": {"probe_z": field0.grid.z_max},
+        "dt": {"dt": 0.0},
+        "n_steps": {"n_steps": -1},
+        "record_stride": {"record_stride": 0}}[flaw])
+    with pytest.raises(error, match={"nyquist": "margin"}.get(flaw, flaw)):
+        split_step_evolve(**run)
+
 
 def assert_same_run(a, b):
     """Bitwise equality of two runs' records, moments and final fields."""
@@ -454,84 +472,6 @@ def assert_same_run(a, b):
     assert np.array_equal(a.final_field.amplitudes, b.final_field.amplitudes)
 
 
-def test_rows_equal_their_solo_runs():
-    """Rows with their own grid, state, masses, mode, field, dt and probe
-    (one without) come out of one loop exactly as from solo runs, also when
-    stopped at any recorded step."""
-    rng = np.random.default_rng(11)
-    runs = []
-    for r in range(4):
-        spec = random_cat(rng)
-        grid = grid_for(spec, 1024)
-        mode = (GRAVITY, ACCELERATED_FRAME)[r % 2]
-        params = LinearPotentialParams(
-            MassPair(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)),
-            rng.uniform(0.5, 1.5), mode)
-        probe = None if r == 2 else float(grid.points[grid.n_points // 2 + r])
-        runs.append((build_wavefunction(spec, grid), params,
-                     rng.uniform(0.002, 0.005), probe))
-    fields, params, dts, probes = map(list, zip(*runs))
-    for n_steps in (*range(0, 100, 12), 100):
-        rows = split_step_evolve_many(fields, params, dts, n_steps,
-                                      probe_zs=probes, record_stride=3)
-        for row, (field0, par, dt, probe) in zip(rows, runs):
-            solo = split_step_evolve(field0, par, dt, n_steps, probe_z=probe,
-                                     record_stride=3)
-            assert_same_run(row, solo)
-            assert row.params == par and row.dt == dt and row.probe_z == probe
-        assert rows[2].probe_current is None
-
-
-def test_rows_must_share_grid_size_and_steps():
-    spec = WavepacketSpec.gaussian(0.0, 1.0)
-    small = build_wavefunction(spec, grid_for(spec, 512))
-    large = build_wavefunction(spec, grid_for(spec, 1024))
-    for fields, params in (([small, large], [params_g()] * 2),
-                           ([small, small], [params_g()])):
-        with pytest.raises(ConfigurationError, match="share n_points"):
-            split_step_evolve_many(fields, params, [0.004] * 2, 8,
-                                   probe_zs=[None] * 2)
-
-
-@pytest.mark.parametrize("bad", [0, 1])
-@pytest.mark.parametrize("flaw,error", [
-    ("norm", PreconditionError), ("nyquist", ConfigurationError),
-    ("probe", ConfigurationError)])
-def test_each_row_is_checked_before_the_loop(bad, flaw, error):
-    spec = WavepacketSpec.gaussian(0.0, 1.0)
-    field0 = build_wavefunction(spec, make_grid(-20.0, 20.0, 1024))
-    fields, params, probes = [field0] * 2, [params_g()] * 2, [0.0] * 2
-    if flaw == "norm":
-        fields[bad] = GridField(field0.grid, 0.5 * field0.amplitudes)
-    elif flaw == "nyquist":
-        params[bad] = params_g(g=100.0)
-    else:
-        probes[bad] = 25.0
-    with pytest.raises(error):
-        split_step_evolve_many(fields, params, [0.01] * 2, 1000,
-                               probe_zs=probes, record_stride=1000)
-
-
-@pytest.mark.parametrize("tight_row", [0, 1])
-def test_boundary_breach_names_the_row(tight_row):
-    """A row on a tight grid breaches beside a safe one: the error names the
-    tight row and the step its solo run breaches at."""
-    spec = WavepacketSpec.gaussian(0.0, 1.0)
-    tight = build_wavefunction(spec, make_grid(-12.0, 12.0, 512))
-    safe = build_wavefunction(spec, make_grid(-40.0, 40.0, 512))
-    with pytest.raises(BoundaryBreachError) as solo:
-        split_step_evolve(tight, params_g(), 0.01, 2000, record_stride=2000)
-    fields, params = [safe, safe], [params_g(g=0.0), params_g(g=0.0)]
-    fields[tight_row], params[tight_row] = tight, params_g()
-    with pytest.raises(BoundaryBreachError) as pair:
-        split_step_evolve_many(fields, params, [0.01] * 2, 2000,
-                               probe_zs=[None] * 2, record_stride=2000)
-    assert solo.value.run == 0
-    assert pair.value.run == tight_row
-    assert pair.value.step_index == solo.value.step_index
-    assert f"run {tight_row})" in str(pair.value)
-
-
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), mass=st.floats(0.5, 4.0),
        record_stride=st.integers(1, 8),
@@ -539,26 +479,19 @@ def test_boundary_breach_names_the_row(tight_row):
 def test_gravity_and_accelerated_frame_rows_are_identical(
         seed, mass, record_stride, n_points):
     """With m_i = m_g, gravity and the accelerated frame are one Hamiltonian:
-    as two rows of one loop they agree bit for bit with each other and with
-    their solo runs."""
+    their solo runs agree bit for bit."""
     spec = random_cat(np.random.default_rng(seed))
     grid = grid_for(spec, n_points)
     field0 = build_wavefunction(spec, grid)
-    modes = [LinearPotentialParams(MassPair(mass, mass), 1.0, mode)
-             for mode in (GRAVITY, ACCELERATED_FRAME)]
-    n_steps, probe = 8 * record_stride, float(grid.points[n_points // 2])
-    rows = split_step_evolve_many([field0] * 2, modes, [0.004] * 2,
-                                  n_steps, probe_zs=[probe] * 2,
-                                  record_stride=record_stride)
-    for row, params in zip(rows, modes):
-        solo = split_step_evolve(field0, params, 0.004, n_steps, probe_z=probe,
-                                 record_stride=record_stride)
-        assert_same_run(row, solo)
-    assert_same_run(rows[0], rows[1])
+    grav, accel = (split_step_evolve(
+        field0, LinearPotentialParams(MassPair(mass, mass), 1.0, mode), 0.004,
+        8 * record_stride, probe_z=float(grid.points[n_points // 2]),
+        record_stride=record_stride) for mode in (GRAVITY, ACCELERATED_FRAME))
+    assert_same_run(grav, accel)
 
 
 def one_dimensional_strang(field0, params, dt, n_steps, probe_z):
-    """The fused-kick Strang loop of one run on 1-D arrays: (final psi,
+    """The fused-kick Strang loop of one run, written plainly: (final psi,
     norms, <z>, probe currents) at every step."""
     grid, hbar = field0.grid, 1.0
     z, dz, mi, force = grid.points, grid.spacing, params.mass.m_inertial, \
@@ -582,20 +515,19 @@ def one_dimensional_strang(field0, params, dt, n_steps, probe_z):
 
 
 def test_rows_match_the_one_dimensional_loop():
-    """Row-wise transforms and broadcast phases give, bit for bit, what the
-    1-D loop gives for each run alone."""
+    """The solver's in-place transforms and buffers give, bit for bit, what
+    the plain loop gives, for runs of either mode."""
     rng = np.random.default_rng(5)
-    specs = [random_cat(rng) for _ in range(3)]
-    fields = [build_wavefunction(s, grid_for(s, 512)) for s in specs]
-    params = [LinearPotentialParams(MassPair(m, m), g, mode) for m, g, mode
-              in ((1.0, 1.0, GRAVITY), (2.5, 0.7, ACCELERATED_FRAME),
-                  (0.6, 1.3, GRAVITY))]
-    dts = [0.004, 0.003, 0.005]
-    probes = [float(f.grid.points[300]) for f in fields]
-    rows = split_step_evolve_many(fields, params, dts, 48, probe_zs=probes)
-    for row, *run in zip(rows, fields, params, dts, [48] * 3, probes):
+    for m, g, mode, dt in ((1.0, 1.0, GRAVITY, 0.004),
+                           (2.5, 0.7, ACCELERATED_FRAME, 0.003),
+                           (0.6, 1.3, GRAVITY, 0.005)):
+        spec = random_cat(rng)
+        field0 = build_wavefunction(spec, grid_for(spec, 512))
+        run = (field0, LinearPotentialParams(MassPair(m, m), g, mode), dt, 48,
+               float(field0.grid.points[300]))
+        solo = split_step_evolve(*run[:4], probe_z=run[4])
         psi, norms, mean_z, currents = one_dimensional_strang(*run)
-        assert np.array_equal(row.final_field.amplitudes, psi)
-        assert row.norms.tolist() == norms
-        assert row.mean_z.tolist() == mean_z
-        assert row.probe_current.tolist() == currents
+        assert np.array_equal(solo.final_field.amplitudes, psi)
+        assert solo.norms.tolist() == norms
+        assert solo.mean_z.tolist() == mean_z
+        assert solo.probe_current.tolist() == currents

@@ -530,6 +530,28 @@ def test_one_key_magnitudes_run_or_raise_typed_errors(section_key, exponent,
         pass
 
 
+@pytest.mark.parametrize("exponent", range(16))
+@pytest.mark.parametrize("key", ["time_steps", "record_stride", "max_points"])
+def test_integer_key_magnitudes_run_or_raise_typed_errors(key, exponent,
+                                                          tmp_path):
+    """Any power of ten up to 1e15 of one integer key either runs an ep-test
+    or raises one of the package's own errors. A time_steps above its cap is
+    rejected, naming the key, when the config is parsed, so no run is sized
+    from it. The grid cap is read only to plan snapshot grids."""
+    section = "grid" if key == "max_points" else "solver"
+    snapshots = "snapshot_stride = 64\n" if key == "max_points" else ""
+    text = short_default(f"[{section}]\n{key} = {10**exponent}\n"
+                         f"[solver]\n{snapshots}[output]\ndir = {tmp_path}\n")
+    if key == "time_steps" and 10**exponent > 2**22:
+        with pytest.raises(ConfigurationError, match="time_steps"):
+            parse_config_text(text)
+        return
+    try:
+        run_equivalence_test(parse_config_text(text))
+    except SimulationError:
+        pass
+
+
 # --- closed-form engine -----------------------------------------------------------
 
 def test_each_drop_is_one_closed_form_call(monkeypatch):
@@ -541,8 +563,12 @@ def test_each_drop_is_one_closed_form_call(monkeypatch):
         calls.append((params.mode, len(times)))
         return evolve.arrival_current(spec, params, z_d, times, unit)
 
+    def solver(*args, **kwargs):
+        pytest.fail("an experiment ran the split-step solver")
+
     monkeypatch.setattr(experiments, "arrival_current", counted)
-    monkeypatch.setattr(evolve, "split_step_evolve_many", None)
+    monkeypatch.setattr(evolve, "split_step_evolve", solver)
+    assert not hasattr(experiments, "split_step_evolve")
     cat = Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(1, 1))
     run_decoherence_comparison(config_for([cat]))
     run_equivalence_test(drop_pair(1.5))
