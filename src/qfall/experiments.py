@@ -15,6 +15,7 @@ import datetime
 import hashlib
 import json
 import math
+import shutil
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -44,6 +45,7 @@ from .states import (
     mixture_moments,
 )
 from .tof import (
+    MIN_SAMPLES,
     WINDOW_SIGMAS,
     asymptotic_sigma_tof,
     _arrival_windows,
@@ -108,6 +110,13 @@ class SolverSettings:
                 "time_steps must be between 16 and 4194304 (2^22)")
         if self.record_stride < 1:
             raise ConfigurationError("record_stride must be >= 1")
+        # _solve records steps 0, record_stride, ... and the last step
+        max_stride = (self.time_steps - 1) // (MIN_SAMPLES - 2)
+        if self.record_stride > max_stride:
+            raise ConfigurationError(
+                f"record_stride {self.record_stride} is above {max_stride}, the "
+                f"largest that records {MIN_SAMPLES} of time_steps "
+                f"{self.time_steps}")
         if self.snapshot_stride < 0:
             raise ConfigurationError("snapshot_stride must be >= 0")
         _check_scale("window_sigmas", self.window_sigmas)
@@ -271,9 +280,9 @@ def _solve(drops: list[_Drop], config: ExperimentConfig, log: _RunLog) -> list:
 
 
 def _drop_record(drop: _Drop, times, current, config: ExperimentConfig,
-                 log: _RunLog):
+                 digest: str, log: _RunLog):
     """Log the arrival density of the solved `drop` to `log`; returns the
-    per-run record and the density."""
+    per-run record, stamped with the config's `digest`, and the density."""
     dist = _arrival(times, current, [drop], config)
     log.arrived(dist, drop.name)
     spec, mass = drop.spec, drop.params.mass
@@ -297,7 +306,7 @@ def _drop_record(drop: _Drop, times, current, config: ExperimentConfig,
         "capture_fraction": dist.capture_fraction,
         "low_capture_warning": dist.low_capture_warning,
         "dt": drop.dt,
-        "config_digest": config.digest(),
+        "config_digest": digest,
     }, dist
 
 
@@ -375,9 +384,15 @@ class ExperimentReport:
             fh.write(",".join(columns) + "\n")
             for rec in self.records:
                 fh.write(",".join(_cell(rec.get(c)) for c in columns) + "\n")
+        first = {}  # the bytes a density writes -> the file that holds them
         for label, dist in self.distributions.items():
             paths.append(out / f"{stem}_{label}.csv")
-            dist.to_csv(paths[-1])
+            key = (dist.times.tobytes(), dist.density.tobytes())
+            if key in first:
+                shutil.copyfile(first[key], paths[-1])
+            else:
+                dist.to_csv(paths[-1])
+                first[key] = paths[-1]
         payload = dict(self.manifest, experiment=self.experiment,
                        digest=self.digest, fits=self.fits,
                        summary=self.summary,
@@ -443,7 +458,7 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
             p.mass, config.field_strength))], config)
     records, distributions, log = [], {}, _RunLog()
     for drop, times, current in _solve(drops, config, log):
-        rec, dist = _drop_record(drop, times, current, config, log)
+        rec, dist = _drop_record(drop, times, current, config, digest, log)
         records.append(rec)
         distributions[drop.label] = dist
 
@@ -488,6 +503,7 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
         if particle.mass.m_inertial != particle.mass.m_gravitational:
             raise ConfigurationError(
                 "equivalence test assumes m_inertial == m_gravitational")
+    digest = config.digest()
     drops = []
     for idx, particle in enumerate(config.particles, start=1):
         label, spec, mass = f"particle{idx}", particle.spec, particle.mass
@@ -499,7 +515,7 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
                 mass, config.accel_factor * config.field_strength,
                 ACCELERATED_FRAME))], config)
     log = _RunLog()
-    built = iter([_drop_record(*solved, config, log)
+    built = iter([_drop_record(*solved, config, digest, log)
                   for solved in _solve(drops, config, log)])
     records, identity_l1, control_l1, distributions = [], [], None, {}
     for idx in range(1, len(config.particles) + 1):
@@ -524,7 +540,7 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
         "control_l1": control_l1,
         "passed": passed,
     }
-    return ExperimentReport("ep_test", config.digest(), records,
+    return ExperimentReport("ep_test", digest, records,
                             summary=summary,
                             manifest=_base_manifest(config, log),
                             distributions=distributions)

@@ -46,6 +46,8 @@ __all__ = [
     "distribution_distance",
 ]
 
+# Fewest current samples a density is built from, in the run and its window.
+MIN_SAMPLES = 8
 # Flux fraction the window must capture before the low-capture flag is set.
 CAPTURE_THRESHOLD = 0.999
 WINDOW_SIGMAS = 8.0
@@ -237,21 +239,23 @@ def distribution_from_current(times: np.ndarray, current: np.ndarray,
     """
     times = np.asarray(times, dtype=float)
     current = np.asarray(current, dtype=float)
-    if times.ndim != 1 or times.shape != current.shape or len(times) < 8:
+    if (times.ndim != 1 or times.shape != current.shape
+            or len(times) < MIN_SAMPLES):
         raise PreconditionError("need matching 1-D time/current arrays with "
-                                "at least 8 samples")
+                                f"at least {MIN_SAMPLES} samples")
     t_end = times[-1]
     if window[1] > t_end * (1.0 + 1e-12):
         raise ConfigurationError(
             f"crossing window {window} escapes the simulated range "
             f"[0, {t_end}]; extend the run")
-    downward = np.maximum(0.0, -current)
+    downward = np.maximum(0.0, -current) + 0.0  # a zero current: 0.0, not -0.0
 
     def build(win):
         mask = (times >= win[0]) & (times <= win[1])
-        if np.count_nonzero(mask) < 8:
+        if np.count_nonzero(mask) < MIN_SAMPLES:
             raise ConfigurationError(
-                f"window {win} contains fewer than 8 current samples")
+                f"window {win} contains fewer than {MIN_SAMPLES} current "
+                "samples")
         tw = times[mask]
         clipped = float(np.trapezoid(np.maximum(0.0, current[mask]), tw))
         return tw, downward[mask], clipped

@@ -265,6 +265,21 @@ def test_main_extreme_finite_values_exit_2(tmp_path, capsys, extra, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_main_record_stride_above_the_record_exits_2(tmp_path, capsys):
+    # too few record times is a config error, not a solver error (exit 3)
+    config_path = tmp_path / "stride.ini"
+    config_path.write_text(DEFAULT_CONFIG_TEXT.replace(
+        "record_stride = 1", "record_stride = 5000"))
+    code = main(["drop", "--config", str(config_path), "--out",
+                 str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert "record_stride 5000" in err["message"]
+    assert "time_steps 4096" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_bad_snapshot_flag(tmp_path, capsys):
     code = main(["sweep", "--out", str(tmp_path), "--snapshots", "all"])
     assert code == 2

@@ -172,10 +172,11 @@ configs = st.builds(
     accel_factor=st.floats(0.0, 5.0),
     z_detector=st.floats(-5.0, 5.0),
     grid=st.builds(GridSettings, max_points=st.integers(1024, 2**20)),
-    solver=st.builds(SolverSettings, time_steps=st.integers(16, 10**5),
-                     record_stride=st.integers(1, 64),
-                     snapshot_stride=st.integers(0, 64),
-                     window_sigmas=st.floats(0.5, 20.0)),
+    # a record keeps at least 8 times: time_steps > 6 record_stride
+    solver=st.integers(1, 64).flatmap(lambda stride: st.builds(
+        SolverSettings, time_steps=st.integers(max(16, 6 * stride + 1), 10**5),
+        record_stride=st.just(stride), snapshot_stride=st.integers(0, 64),
+        window_sigmas=st.floats(0.5, 20.0))),
     sweep=st.builds(SweepSettings, m_g_values=value_lists,
                     ratio_values=value_lists,
                     state_kinds=st.lists(

@@ -14,6 +14,7 @@ from qfall import (
     STATE_FAMILIES,
     ConfigurationError,
     ExperimentConfig,
+    ExperimentReport,
     LinearPotentialParams,
     MassPair,
     Particle,
@@ -21,6 +22,7 @@ from qfall import (
     SimulationError,
     SolverSettings,
     SweepSettings,
+    TofDistribution,
     WavepacketSpec,
     analytic_moments,
     build_wavefunction,
@@ -490,6 +492,14 @@ def test_solver_settings_reject_out_of_range(key, value):
         SolverSettings(**{key: value})
 
 
+def test_record_stride_must_leave_enough_record_times():
+    # 4,096 steps record 8 times at a stride of 682 and 7 at 683
+    SolverSettings(time_steps=4096, record_stride=682)
+    with pytest.raises(ConfigurationError,
+                       match=r"record_stride 683 .*682.* time_steps 4096"):
+        SolverSettings(time_steps=4096, record_stride=683)
+
+
 RUNNERS = {"drop": run_galileo_pair, "ep-test": run_equivalence_test}
 
 
@@ -544,6 +554,10 @@ def test_integer_key_magnitudes_run_or_raise_typed_errors(key, exponent,
                          f"[solver]\n{snapshots}[output]\ndir = {tmp_path}\n")
     if key == "time_steps" and 10**exponent > 2**22:
         with pytest.raises(ConfigurationError, match="time_steps"):
+            parse_config_text(text)
+        return
+    if key == "record_stride" and 10**exponent > 10:  # 64 steps: 8 records
+        with pytest.raises(ConfigurationError, match="record_stride"):
             parse_config_text(text)
         return
     try:
@@ -698,9 +712,10 @@ def test_heavy_drops_run_without_a_grid(tmp_path, mass):
             config.solver, snapshot_stride=4096)))
 
 
-def test_a_mode_fault_still_fails_the_equivalence_test(monkeypatch):
+def test_a_mode_fault_still_fails_the_equivalence_test(monkeypatch, tmp_path):
     """Each drop is its own closed-form call: a wrong accelerated-frame
-    coupling shows as a nonzero identity L1 and a failing test."""
+    coupling shows as a nonzero identity L1, a failing test and density
+    tables of its own."""
 
     def coupling_mass(params):
         if params.mode == ACCELERATED_FRAME:
@@ -712,3 +727,71 @@ def test_a_mode_fault_still_fails_the_equivalence_test(monkeypatch):
     report = run_equivalence_test(drop_pair(1.5))
     assert report.summary["max_identity_l1"] > 1e-10
     assert report.summary["passed"] is False
+    report.write(tmp_path)
+    for idx in (1, 2):
+        gravity, accelerated = (
+            (tmp_path / f"ep_test_{report.digest}_particle{idx}_{mode}.csv")
+            .read_bytes() for mode in ("gravity", "accelerated"))
+        assert gravity != accelerated
+
+
+# --- report writing ------------------------------------------------------------
+
+def rendered_tables(patch) -> list[str]:
+    """Patch `TofDistribution.to_csv` to log the name of each file it renders."""
+    rendered, to_csv = [], TofDistribution.to_csv
+
+    def logged(dist, path):
+        rendered.append(path.name)
+        to_csv(dist, path)
+
+    patch.setattr(TofDistribution, "to_csv", logged)
+    return rendered
+
+
+@pytest.fixture(scope="module")
+def default_ep_test(tmp_path_factory):
+    """(report, written paths, rendered table names) of the default ep-test."""
+    report = run_equivalence_test(parse_config_text(DEFAULT_CONFIG_TEXT))
+    with pytest.MonkeyPatch.context() as patch:
+        rendered = rendered_tables(patch)
+        paths = report.write(tmp_path_factory.mktemp("ep_test"))
+    return report, paths, rendered
+
+
+def test_equal_densities_are_rendered_once(default_ep_test, tmp_path):
+    """A particle's gravity and accelerated-frame densities are equal, so
+    the second is a copy; each table holds its own density's bytes."""
+    report, paths, rendered = default_ep_test
+    stem = f"ep_test_{report.digest}"
+    assert rendered == [f"{stem}_{label}.csv" for label in (
+        "particle1_gravity", "control", "particle2_gravity")]
+    tables = {path.stem[len(stem) + 1:]: path for path in paths[1:-1]}
+    assert list(tables) == list(report.distributions)
+    for label, dist in report.distributions.items():
+        dist.to_csv(tmp_path / "own.csv")
+        assert tables[label].read_bytes() == (tmp_path / "own.csv").read_bytes()
+
+
+def test_written_paths_exist_and_are_listed(default_ep_test):
+    _, paths, _ = default_ep_test
+    assert all(path.is_file() for path in paths)
+    manifest = json.loads(paths[-1].read_text())
+    assert manifest["tables"] == [path.name for path in paths[:-1]]
+
+
+def test_a_signed_zero_gets_its_own_table(monkeypatch, tmp_path):
+    """0.0 and -0.0 compare equal but write different bytes, so two
+    densities that differ only there are both rendered."""
+    times = np.linspace(0.0, 1.0, 9)
+    zero, signed = np.full(9, 1.0), np.full(9, 1.0)
+    zero[0], signed[0] = 0.0, -0.0
+    report = ExperimentReport("probe", "0" * 16, [], distributions={
+        label: TofDistribution(times, density, 0.5, 0.25, (0.0, 1.0), 0.0)
+        for label, density in (("zero", zero), ("signed", signed))})
+    rendered = rendered_tables(monkeypatch)
+    paths = report.write(tmp_path)
+    assert rendered == ["probe_0000000000000000_zero.csv",
+                        "probe_0000000000000000_signed.csv"]
+    assert [path.read_text().splitlines()[1] for path in paths[1:3]] == [
+        "0.0,0.0,0.0", "0.0,-0.0,0.0"]

@@ -265,6 +265,15 @@ def test_distribution_from_current_rejects_pure_backflow():
         distribution_from_current(times, current, (0.0, 1.0))
 
 
+def test_a_zero_current_has_a_positive_zero_density():
+    times = np.linspace(0.0, 1.0, 64)
+    current = -np.sin(np.pi * times)
+    current[[0, -1]] = -0.0, 0.0  # both signs of a zero current
+    dist = distribution_from_current(times, current, (0.0, 1.0))
+    assert dist.density[0] == dist.density[-1] == 0.0
+    assert not np.signbit(dist.density).any()
+
+
 def test_window_extension_and_low_capture_flag():
     times = np.linspace(0.0, 10.0, 2001)
     current = -np.exp(-((times - 5.0) ** 2) / (2.0 * 0.5**2))
