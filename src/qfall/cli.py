@@ -13,6 +13,7 @@ record on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -43,7 +44,10 @@ EXIT_SOLVER = 3
 EXIT_CHECK = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first `main` call; each
+    `parse_args` fills a fresh namespace, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="qfall",
         description="quantum free-fall drops, arrival-time statistics, and "

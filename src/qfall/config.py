@@ -193,6 +193,15 @@ def _scan(text: str, strict: bool) -> _Raw:
     return raw
 
 
+def _located(exc: ConfigurationError, raw: _Raw, section: str,
+             keys) -> ParseError:
+    """`exc`, raised by the values of `section`, as a ParseError naming its
+    key and that key's line when the key is one of `keys`, else the
+    section."""
+    key = exc.key if exc.key in keys else section
+    return ParseError(str(exc), key=key, line=raw.line(section, key))
+
+
 def _particle(raw: _Raw, section: str, strict: bool) -> Particle:
     kind = raw.get(section, "kind", GAUSSIAN).lower()
     if kind not in _KNOWN_KINDS:
@@ -218,7 +227,7 @@ def _particle(raw: _Raw, section: str, strict: bool) -> Particle:
                                      values["delta0"]))
         mass = MassPair(values["m_inertial"], values["m_gravitational"])
     except ConfigurationError as exc:
-        raise ParseError(str(exc), key=section) from exc
+        raise _located(exc, raw, section, values) from exc
     return Particle(spec, mass)
 
 
@@ -236,7 +245,7 @@ def parse_config_text(text: str, strict: bool = False) -> ExperimentConfig:
         try:
             settings[name] = settings_type(**values)
         except ConfigurationError as exc:
-            raise ParseError(str(exc), key=name) from exc
+            raise _located(exc, raw, name, values) from exc
 
     labels = sorted((s for s in raw.sections if _PARTICLE_RE.match(s)),
                     key=lambda s: int(_PARTICLE_RE.match(s).group(1)))
@@ -253,7 +262,7 @@ def parse_config_text(text: str, strict: bool = False) -> ExperimentConfig:
                                 **experiment, output_dir=output["dir"],
                                 threads=output["threads"])
     except ConfigurationError as exc:
-        raise ParseError(str(exc)) from exc
+        raise _located(exc, raw, "experiment", experiment) from exc
 
 
 def parse_config(path, strict: bool = False) -> ExperimentConfig:

@@ -29,14 +29,15 @@ __all__ = [
 
 
 def _check_scale(name: str, value: float, zero_ok: bool = False) -> None:
-    """Raise ConfigurationError unless `value` is positive (or zero, with
-    `zero_ok`) with a square that is a finite nonzero double: the formulas
-    square each scale, and ``x ** 2`` overflows with an OverflowError."""
+    """Raise ConfigurationError, keyed by `name`, unless `value` is positive
+    (or zero, with `zero_ok`) with a square that is a finite nonzero double:
+    the formulas square each scale, and ``x ** 2`` overflows with an
+    OverflowError."""
     if not (value > 0 and 0.0 < value * value < math.inf
             or zero_ok and value == 0):
         raise ConfigurationError(
             f"{name} must be {'zero or ' if zero_ok else ''}positive with "
-            f"a finite nonzero square, got {value!r}")
+            f"a finite nonzero square, got {value!r}", key=name)
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class UnitSystem:
     def __post_init__(self):
         _check_scale("hbar", self.hbar)
         if self.g < 0:  # a scale only as the field strength's default
-            raise ConfigurationError("g must be nonnegative")
+            raise ConfigurationError("g must be nonnegative", key="g")
 
     @classmethod
     def from_si(cls, m_ref_si, delta0_ref_si, hbar_si=1.054571817e-34,

@@ -6,14 +6,19 @@ class SimulationError(Exception):
 
 
 class ConfigurationError(SimulationError):
-    """Invalid grid, solver, or experiment settings."""
+    """Invalid grid, solver, or experiment settings; ``key`` names the value
+    at fault (a setting, or a quantity derived from several), when one
+    does."""
+
+    def __init__(self, message, key=None):
+        self.key = key
+        super().__init__(message)
 
 
 class ParseError(ConfigurationError):
     """Config-file error carrying the offending key and line number."""
 
     def __init__(self, message, key=None, line=None):
-        self.key = key
         self.line = line
         loc = ""
         if key is not None:
@@ -21,7 +26,7 @@ class ParseError(ConfigurationError):
             loc += f", line {line})" if line is not None else ")"
         elif line is not None:
             loc += f" (line {line})"
-        super().__init__(message + loc)
+        super().__init__(message + loc, key)
 
 
 class DomainError(SimulationError):

@@ -88,11 +88,21 @@ class Particle:
     mass: MassPair
 
 
+# The fewest points of a grid that plan_domain plans.
+MIN_GRID_POINTS = 1024
+
+
 @dataclass(frozen=True)
 class GridSettings:
     """The cap on the size of a grid planned from the drop parameters."""
 
     max_points: int = 2**16
+
+    def __post_init__(self):
+        if self.max_points < MIN_GRID_POINTS:
+            raise ConfigurationError(
+                f"max_points must be >= {MIN_GRID_POINTS}, the fewest points "
+                "of a planned grid", key="max_points")
 
 
 @dataclass(frozen=True)
@@ -107,18 +117,21 @@ class SolverSettings:
         # 176 B per sample, so the cap bounds one call near 740 MB.
         if not 16 <= self.time_steps <= 2**22:
             raise ConfigurationError(
-                "time_steps must be between 16 and 4194304 (2^22)")
+                "time_steps must be between 16 and 4194304 (2^22)",
+                key="time_steps")
         if self.record_stride < 1:
-            raise ConfigurationError("record_stride must be >= 1")
-        # _solve records steps 0, record_stride, ... and the last step
+            raise ConfigurationError("record_stride must be >= 1",
+                                     key="record_stride")
+        # _record_steps records steps 0, record_stride, ... and the last step
         max_stride = (self.time_steps - 1) // (MIN_SAMPLES - 2)
         if self.record_stride > max_stride:
             raise ConfigurationError(
                 f"record_stride {self.record_stride} is above {max_stride}, the "
                 f"largest that records {MIN_SAMPLES} of time_steps "
-                f"{self.time_steps}")
+                f"{self.time_steps}", key="record_stride")
         if self.snapshot_stride < 0:
-            raise ConfigurationError("snapshot_stride must be >= 0")
+            raise ConfigurationError("snapshot_stride must be >= 0",
+                                     key="snapshot_stride")
         _check_scale("window_sigmas", self.window_sigmas)
 
 
@@ -131,7 +144,8 @@ class SweepSettings:
     def __post_init__(self):
         for kind in self.state_kinds:
             if kind not in STATE_FAMILIES:
-                raise ConfigurationError(f"unknown sweep state kind '{kind}'")
+                raise ConfigurationError(f"unknown sweep state kind '{kind}'",
+                                         key="state_kinds")
 
 
 # The canonical record's [units] keys (the SI scale factors stay out) and its
@@ -162,7 +176,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.particles:
             raise ConfigurationError("at least one particle is required")
-        _check_scale("field strength", self.field_strength)
+        _check_scale("field_strength", self.field_strength)
 
     def canonical_record(self) -> dict:
         """The config as plain data: the digest's input, the manifest's
@@ -178,8 +192,13 @@ class ExperimentConfig:
         }
 
     def digest(self) -> str:
-        text = json.dumps(self.canonical_record(), sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return _digest(self.canonical_record())
+
+
+def _digest(record: dict) -> str:
+    """The digest of a config's canonical record."""
+    text = json.dumps(record, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def fit_power_law(x, y) -> tuple[float, float, float]:
@@ -233,7 +252,8 @@ def plan_domain(entries, z_detector: float, t_final: float,
                             spec.delta0 / 3.0))
     z_top, z_bot = max(tops), min(bottoms)
     need = (z_top - z_bot) / min(spacings)  # inf or nan if a scale overflowed
-    n = max(fft_size(need), 1024) if need <= max_points else need
+    n = (max(fft_size(need), MIN_GRID_POINTS) if need <= max_points
+         else need)
     if not n <= max_points:
         raise ConfigurationError(
             f"run needs {n:.6g} grid points, above the cap {max_points}; "
@@ -264,12 +284,19 @@ def _plan(entries, config: ExperimentConfig) -> list[_Drop]:
             for (label, spec, params), crossing in zip(entries, crossings)]
 
 
+def _record_steps(n: int, stride: int) -> np.ndarray:
+    """The record steps of an `n`-step run: 0, `stride`, 2 `stride`, ... and
+    the last step `n`."""
+    steps = np.arange(0, n + 1, stride)
+    return steps if steps[-1] == n else np.append(steps, n)
+
+
 def _solve(drops: list[_Drop], config: ExperimentConfig, log: _RunLog) -> list:
     """The `(drop, times, current)` of each of `drops`, in order: the
     closed-form detector current at the record times k dt, for k = 0,
     `record_stride`, ... and the last step. Each drop is logged to `log`."""
-    n = config.solver.time_steps
-    steps = np.unique(np.r_[0:n + 1:config.solver.record_stride, n])
+    steps = _record_steps(config.solver.time_steps,
+                          config.solver.record_stride)
     solved = []
     for drop in drops:
         log.solved(drop, config)
@@ -399,8 +426,7 @@ class ExperimentReport:
                        tables=[path.name for path in paths])
         paths.append(out / f"{stem}.json")
         with open(paths[-1], "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return paths
 
 
@@ -414,9 +440,12 @@ def _cell(value) -> str:
     return str(value) if value is not None else ""
 
 
-def _base_manifest(config: ExperimentConfig, log: _RunLog) -> dict:
+def _base_manifest(config: ExperimentConfig, record: dict,
+                   log: _RunLog) -> dict:
+    """The manifest of a run of `config`, whose canonical record is
+    `record`."""
     return {
-        "config": config.canonical_record(),
+        "config": record,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "threads": config.threads,
@@ -451,7 +480,8 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
             f"{match.velocity_residual:.3e}); enable auto_match or fix the "
             "preparation")
 
-    digest = config.digest()
+    config_record = config.canonical_record()
+    digest = _digest(config_record)
     drops = []
     for idx, p in enumerate((p1, p2), start=1):  # each on its own domain
         drops += _plan([(f"particle{idx}", p.spec, LinearPotentialParams(
@@ -487,7 +517,8 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
         "ks_distance": ks,
     }
     return ExperimentReport("drop", digest, records, summary=summary,
-                            manifest=_base_manifest(config, log),
+                            manifest=_base_manifest(config, config_record,
+                                                    log),
                             distributions=distributions)
 
 
@@ -503,7 +534,8 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
         if particle.mass.m_inertial != particle.mass.m_gravitational:
             raise ConfigurationError(
                 "equivalence test assumes m_inertial == m_gravitational")
-    digest = config.digest()
+    config_record = config.canonical_record()
+    digest = _digest(config_record)
     drops = []
     for idx, particle in enumerate(config.particles, start=1):
         label, spec, mass = f"particle{idx}", particle.spec, particle.mass
@@ -542,7 +574,8 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
     }
     return ExperimentReport("ep_test", digest, records,
                             summary=summary,
-                            manifest=_base_manifest(config, log),
+                            manifest=_base_manifest(config, config_record,
+                                                    log),
                             distributions=distributions)
 
 
@@ -564,7 +597,8 @@ def run_mass_sweep(config: ExperimentConfig) -> ExperimentReport:
         if max(values) / min(values) < 10.0 - 1e-9:
             raise ConfigurationError(f"{name} must span at least one decade")
     unit = config.unit
-    digest = config.digest()
+    config_record = config.canonical_record()
+    digest = _digest(config_record)
     base = config.particles[0]
     spec = base.spec
 
@@ -610,9 +644,9 @@ def run_mass_sweep(config: ExperimentConfig) -> ExperimentReport:
     }
     epsilons = {r["x"]: r["value"] for r in records
                 if r["axis"] == "epsilon_vs_state"}
-    return ExperimentReport("sweep", digest, records, fits=fits,
-                            summary={"epsilons": epsilons},
-                            manifest=_base_manifest(config, _RunLog()))
+    return ExperimentReport(
+        "sweep", digest, records, fits=fits, summary={"epsilons": epsilons},
+        manifest=_base_manifest(config, config_record, _RunLog()))
 
 
 def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
@@ -627,7 +661,8 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
     spec, mass = particle.spec, particle.mass
     if spec.kind != CAT:
         raise PreconditionError("decoherence comparison needs a cat state")
-    digest = config.digest()
+    config_record = config.canonical_record()
+    digest = _digest(config_record)
     params = LinearPotentialParams(mass, config.field_strength)
 
     lo, hi = spec.peak_centers()
@@ -678,6 +713,7 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
             abs(dist_pure.mean_t - dist_mixed.mean_t) > 5.0 * solver_tol,
     }
     return ExperimentReport("decohere", digest, records, summary=summary,
-                            manifest=_base_manifest(config, log),
+                            manifest=_base_manifest(config, config_record,
+                                                    log),
                             distributions={"pure": dist_pure,
                                            "mixture": dist_mixed})

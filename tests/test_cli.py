@@ -1,8 +1,15 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qfall
 from qfall import ParseError, parse_config, parse_config_text
+from qfall import cli
 from qfall.cli import main
 from qfall.config import DEFAULT_CONFIG_TEXT
 from conftest import EXTREME_CONFIGS, short_default
@@ -280,6 +287,20 @@ def test_main_record_stride_above_the_record_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_main_time_steps_above_its_cap_names_the_key_and_line(tmp_path,
+                                                               capsys):
+    config_path = tmp_path / "huge.ini"
+    config_path.write_text(DEFAULT_CONFIG_TEXT.replace(
+        "time_steps = 4096", "time_steps = 1000000000000000"))
+    line = DEFAULT_CONFIG_TEXT.splitlines().index("time_steps = 4096") + 1
+    code = main(["drop", "--config", str(config_path), "--out",
+                 str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["message"].endswith(f"(key 'time_steps', line {line})")
+
+
 def test_main_bad_snapshot_flag(tmp_path, capsys):
     code = main(["sweep", "--out", str(tmp_path), "--snapshots", "all"])
     assert code == 2
@@ -316,3 +337,80 @@ def test_main_validate(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+# --- one parser per process ----------------------------------------------------
+
+@pytest.fixture
+def counted_parsers(monkeypatch):
+    """Count the top-level parsers built while the test runs, starting from
+    an empty parser cache, and log the namespace of each `parse_args`."""
+    built, parsed = [], []
+    init, parse_args = (argparse.ArgumentParser.__init__,
+                        argparse.ArgumentParser.parse_args)
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "qfall":
+            built.append(self)
+
+    def logged_parse_args(self, *args, **kwargs):
+        parsed.append(parse_args(self, *args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        logged_parse_args)
+    cli._build_parser.cache_clear()
+    yield built, parsed
+    cli._build_parser.cache_clear()
+
+
+def test_back_to_back_calls_share_one_parser_and_no_arguments(
+        tmp_path, capsys, counted_parsers):
+    """A call's flags do not leak into the next call, which sees every
+    default, and a bad flag after good calls still exits 2 in argparse."""
+    built, parsed = counted_parsers
+    config_path = tmp_path / "drop.ini"
+    config_path.write_text(SMALL_DROP.replace("time_steps = 512",
+                                              "time_steps = 64"))
+    common = ["--config", str(config_path), "--out"]
+    assert main(["drop", *common, str(tmp_path / "a"), "--snapshots",
+                 "strided:8", "--threads", "2", "--strict"]) == 0
+    assert main(["drop", *common, str(tmp_path / "b")]) == 0
+    assert main(["ep-test", *common, str(tmp_path / "c")]) == 0
+    first, *later = parsed
+    assert (first.snapshots, first.threads, first.strict) == (
+        "strided:8", 2, True)
+    for args in later:
+        assert (args.snapshots, args.threads, args.strict) == (
+            "none", None, False)
+    for sub, snapshots in (("a", 9 * 2), ("b", 0), ("c", 0)):
+        manifest = json.loads(next((tmp_path / sub).glob("*.json"))
+                              .read_text())
+        assert len(manifest["snapshots"]) == snapshots
+        assert manifest["threads"] == (2 if sub == "a" else 1)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["drop", "--no-such-flag"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    """A fresh interpreter that imports `qfall.cli` builds no parser."""
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counted(self, *args, **kwargs):\n"
+             "    built.append(1)\n"
+             "    init(self, *args, **kwargs)\n"
+             "argparse.ArgumentParser.__init__ = counted\n"
+             "import qfall.cli\n"
+             "print(len(built))\n")
+    src = str(Path(qfall.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", probe], check=True,
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.stdout == "0\n"

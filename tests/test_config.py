@@ -100,11 +100,45 @@ def test_non_finite_number_is_a_parse_error(value, section, key, template):
     assert excinfo.value.line == 2
 
 
-def test_unknown_sweep_kind_names_the_sweep_section():
-    text = "[sweep]\nstate_kinds = gaussian, gausian\n"
-    with pytest.raises(ParseError, match="unknown sweep state") as excinfo:
+# (section, key, value, message): one value that each config section's class
+# rejects after the value has parsed.
+REJECTED_SETTINGS = [
+    ("solver", "time_steps", "10", "time_steps must be between 16"),
+    ("solver", "record_stride", "1000",
+     "record_stride 1000 is above 682, .* of time_steps 4096"),
+    ("solver", "snapshot_stride", "-1", "snapshot_stride must be >= 0"),
+    ("solver", "window_sigmas", "0", "window_sigmas must be positive"),
+    ("grid", "max_points", "1000", "max_points must be >= 1024"),
+    ("units", "hbar", "0", "hbar must be positive"),
+    ("units", "g", "-1", "g must be nonnegative"),
+    ("sweep", "state_kinds", "gaussian, gausian",
+     "unknown sweep state kind 'gausian'"),
+    ("particle1", "m_inertial", "0", "m_inertial must be positive"),
+    ("experiment", "field_strength", "0", "field_strength must be positive"),
+]
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    pytest.param(*case, id=case[1]) for case in REJECTED_SETTINGS])
+def test_a_rejected_setting_names_its_key_and_line(section, key, value,
+                                                   message):
+    """A value that its section's class rejects is reported with its key and
+    the line it was read from, not with its section."""
+    text = (f"[experiment]\nz_detector = 0.0\n\n[{section}]\n# line 5\n"
+            f"{key} = {value}\n")
+    with pytest.raises(ParseError, match=message) as excinfo:
         parse_config_text(text)
-    assert excinfo.value.key == "sweep"
+    assert (excinfo.value.key, excinfo.value.line) == (key, 6)
+    assert str(excinfo.value).endswith(f"(key '{key}', line 6)")
+
+
+def test_a_derived_scale_names_its_section():
+    """A particle's mass ratio is no key of its own, so the section is
+    named."""
+    text = "[particle1]\nm_inertial = 1e-100\nm_gravitational = 1e100\n"
+    with pytest.raises(ParseError, match="mass ratio") as excinfo:
+        parse_config_text(text)
+    assert (excinfo.value.key, excinfo.value.line) == ("particle1", None)
 
 
 def test_defaults_that_depend_on_other_values():

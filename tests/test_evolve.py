@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfall import (
@@ -31,6 +31,7 @@ from qfall import (
 )
 
 from qfall import evolve
+from qfall.core import fft_size
 from qfall.evolve import _exact_fields, probe_current, probe_weights
 
 from conftest import grid_for, random_cat
@@ -416,13 +417,20 @@ def test_record_matches_snapshots_property(seed, m_inertial, m_gravitational,
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), mass=st.floats(0.5, 16.0),
        mode=st.sampled_from((GRAVITY, ACCELERATED_FRAME)))
+@example(seed=4294967295, mass=0.5, mode=GRAVITY)
 def test_arrival_current_matches_the_split_step_probe(seed, mass, mode):
     """Random cats of mass 0.5 to 16, released from z0 in [-2, 2] over a
-    detector at 0, on their planned grids: the closed-form current equals the
-    solver's probe current to 1e-11 (gaps seen: at most 1.6e-13)."""
+    detector at 0, on their planned grids padded by 10 on each side: the
+    closed-form current equals the solver's probe current to 1e-11 (gaps
+    seen: at most 8.6e-14 over 150 draws). The planned grid of a light cat
+    can keep |psi|^2 near 1e-15 at its edges at t = 3, where the periodic
+    oracle wraps and misses by 1.1e-10 (the pinned example)."""
     spec = random_cat(np.random.default_rng(seed))
     params = LinearPotentialParams(MassPair(mass, mass), 1.0, mode)
-    grid = plan_domain([(spec, params)], 0.0, 3.0)
+    planned = plan_domain([(spec, params)], 0.0, 3.0)
+    pad = 10.0
+    grid = make_grid(planned.z_min - pad, planned.z_max + pad, fft_size(
+        (planned.z_max - planned.z_min + 2 * pad) / planned.spacing))
     run = split_step_evolve(build_wavefunction(spec, grid), params, 3.0 / 256,
                             256, probe_z=0.0, record_stride=3)
     current = arrival_current(spec, params, 0.0, run.times)

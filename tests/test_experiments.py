@@ -1,10 +1,11 @@
+import io
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfall import (
@@ -294,6 +295,53 @@ def test_report_manifest_contents(tmp_path):
     assert manifest["config"]["particles"][0]["kind"] == "gaussian"
     assert manifest["tables"][0].endswith(".csv")
     assert "version" in manifest and "timestamp" in manifest
+
+
+# --- bookkeeping: one record per report, one write per manifest -----------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(16, 2**22).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, (n - 1) // 6))))
+@example((2**16, 1))
+@example((2**22, (2**22 - 1) // 6))
+@example((16, 2))
+@example((4096, 682))
+def test_record_steps_are_the_strided_steps_and_the_last(n_stride):
+    """Every allowed `time_steps`/`record_stride` pair records the same steps,
+    of the same dtype, as the sorted union of the strided steps and the
+    last step."""
+    n, stride = n_stride
+    SolverSettings(time_steps=n, record_stride=stride)  # an allowed pair
+    steps = experiments._record_steps(n, stride)
+    expected = np.unique(np.r_[0:n + 1:stride, n])
+    assert steps.dtype == expected.dtype
+    assert np.array_equal(steps, expected)
+
+
+@pytest.mark.parametrize("runner", [run_galileo_pair, run_equivalence_test,
+                                    run_mass_sweep,
+                                    run_decoherence_comparison])
+def test_report_carries_the_config_digest_and_record(runner):
+    config = replace(parse_config_text(DEFAULT_CONFIG_TEXT), solver=FAST_SOLVER)
+    report = runner(config)
+    assert report.digest == config.digest()
+    assert report.manifest["config"] == config.canonical_record()
+
+
+def test_manifest_is_one_indented_sorted_json_text(tmp_path):
+    """The manifest holds exactly the text `json.dump` would stream."""
+    report = run_galileo_pair(replace(parse_config_text(DEFAULT_CONFIG_TEXT),
+                                      solver=FAST_SOLVER))
+    paths = report.write(tmp_path)
+    payload = dict(report.manifest, experiment=report.experiment,
+                   digest=report.digest, fits=report.fits,
+                   summary=report.summary,
+                   tables=[path.name for path in paths[:-1]])
+    streamed = io.StringIO()
+    json.dump(payload, streamed, indent=2, sort_keys=True)
+    text = paths[-1].read_text()
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert text == streamed.getvalue() + "\n"
 
 
 # --- decoherence comparison -------------------------------------------------------
