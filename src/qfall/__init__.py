@@ -55,6 +55,7 @@ from .evolve import (
     EvolutionResult,
     LinearPotentialParams,
     arrival_current,
+    closed_form_field,
     default_timestep,
     dump_snapshots,
     exact_wavefunction,
@@ -79,7 +80,6 @@ from .experiments import (
     STATE_FAMILIES,
     ExperimentConfig,
     ExperimentReport,
-    GridSettings,
     Particle,
     SolverSettings,
     SweepSettings,

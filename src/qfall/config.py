@@ -23,7 +23,6 @@ from .errors import ConfigurationError, ParseError
 from .experiments import (
     STATE_FAMILIES,
     ExperimentConfig,
-    GridSettings,
     Particle,
     SolverSettings,
     SweepSettings,
@@ -46,8 +45,8 @@ _UNREAD = {**dict.fromkeys(STATE_FAMILIES, _COEFFICIENTS), CAT: (),
            GAUSSIAN: ("delta", *_COEFFICIENTS)}
 
 # The section each settings dataclass is read from.
-_SETTINGS = {"units": UnitSystem, "grid": GridSettings,
-             "solver": SolverSettings, "sweep": SweepSettings}
+_SETTINGS = {"units": UnitSystem, "solver": SolverSettings,
+             "sweep": SweepSettings}
 
 
 def _sections(config: ExperimentConfig) -> dict[str, dict]:
@@ -125,12 +124,10 @@ class _Raw:
         self.sections: dict[str, dict[str, tuple[str, int]]] = {}
 
     def get(self, section, key, default=None):
-        entry = self.sections.get(section, {}).get(key)
-        return default if entry is None else entry[0]
+        return self.sections.get(section, {}).get(key, (default, None))[0]
 
     def line(self, section, key):
-        entry = self.sections.get(section, {}).get(key)
-        return None if entry is None else entry[1]
+        return self.sections.get(section, {}).get(key, (None, None))[1]
 
     def values(self, section: str, defaults: dict) -> dict:
         """Every key of `defaults`, read from `section` as its default's type

@@ -14,7 +14,8 @@ Engines:
   extended Galilean transform: free spectral evolution, a coordinate
   shift by the classical drop, and a linear momentum-kick phase;
 * the same transform applied to the free Gaussian branches, which gives
-  the detector current in closed form (`arrival_current`);
+  the field (`closed_form_field`) and the detector current
+  (`arrival_current`) in closed form;
 * a Strang split-operator spectral solver (`split_step_evolve`) with fused
   half kicks, which steps one run: one transform pair per step, and none
   more per record. It is the independent oracle of the two closed forms.
@@ -58,6 +59,7 @@ __all__ = [
     "EvolutionResult",
     "moment_evolution",
     "exact_wavefunction",
+    "closed_form_field",
     "arrival_current",
     "split_step_evolve",
     "default_timestep",
@@ -169,70 +171,84 @@ def exact_wavefunction(spec: WavepacketSpec, params: LinearPotentialParams,
     intermediate never falls, so the domain must contain both the fallen
     and the unfallen spread packet; both are checked against the boundary
     guard and a breach raises :class:`DomainError` advising a larger grid.
+    It is the oracle of :func:`closed_form_field`.
     """
-    [(_, out)] = _exact_fields(spec, params, [t], grid, unit)
-    return out
-
-
-def _exact_fields(spec, params, times, grid, unit=DEFAULT_UNITS):
-    """Yield (t, :func:`exact_wavefunction` at t) for each of `times`; the
-    initial state and its spectrum are built once for the series."""
-    if min(times) < 0:
+    if t < 0:
         raise PreconditionError("evolution time must be nonnegative")
     hbar, mi, force, k = (unit.hbar, params.mass.m_inertial, params.force,
                           grid.wavenumbers)
-    spectrum0 = np.fft.fft(build_wavefunction(spec, grid).amplitudes)
-    for t in times:
-        shift = 0.5 * params.g_eff * t**2
-        spectrum = spectrum0 * np.exp(-1j * hbar * k**2 * t / (2.0 * mi))
-        free = GridField(grid, np.fft.ifft(spectrum))
-        if boundary_probability(free, BOUNDARY_CELLS) > BOUNDARY_TOL:
-            raise DomainError(
-                "free-spreading intermediate reaches the boundary; enlarge "
-                "the grid above the release point")
-        shifted = np.fft.ifft(spectrum * np.exp(1j * k * shift))
-        phase = np.exp(-1j * force * t * grid.points / hbar
-                       - 1j * force**2 * t**3 / (6.0 * mi * hbar))
-        out = GridField(grid, phase * shifted)
-        if boundary_probability(out, BOUNDARY_CELLS) > BOUNDARY_TOL:
-            raise DomainError(
-                "evolved state reaches the boundary; enlarge the grid below "
-                "the detector")
-        yield t, out
+    shift = 0.5 * params.g_eff * t**2
+    spectrum = (np.fft.fft(build_wavefunction(spec, grid).amplitudes)
+                * np.exp(-1j * hbar * k**2 * t / (2.0 * mi)))
+    free = GridField(grid, np.fft.ifft(spectrum))
+    shifted = np.fft.ifft(spectrum * np.exp(1j * k * shift))
+    phase = np.exp(-1j * force * t * grid.points / hbar
+                   - 1j * force**2 * t**3 / (6.0 * mi * hbar))
+    out = GridField(grid, phase * shifted)
+    for fld, text in ((free, "free-spreading intermediate reaches the "
+                       "boundary; enlarge the grid above the release point"),
+                      (out, "evolved state reaches the boundary; enlarge the "
+                       "grid below the detector")):
+        if boundary_probability(fld, BOUNDARY_CELLS) > BOUNDARY_TOL:
+            raise DomainError(text)
+    return out
 
 
-def arrival_current(spec: WavepacketSpec, params: LinearPotentialParams,
-                    z_d: float, times, unit: UnitSystem = DEFAULT_UNITS,
-                    ) -> np.ndarray:
-    """The probability current J(z_d, t) at `times`, in closed form.
-
-    Each Gaussian branch spreads freely with the complex width
-    s^2 = delta0^2 + i hbar t / m_i and amplitude N c delta0 / s. As in
-    :func:`exact_wavefunction`, their sum phi is read at u = z_d + g_eff t^2/2
-    and J = (hbar / m_i) Im(phi* d_u phi) - (F t / m_i) |phi|^2. No grid is
-    involved; an overflow raises :class:`ConfigurationError`.
-    """
-    hbar, mi, t = unit.hbar, params.mass.m_inertial, np.asarray(times, float)
+def _branch_sum(spec: WavepacketSpec, params: LinearPotentialParams, t, z,
+                unit: UnitSystem):
+    """(phi, d_u phi) of the free Gaussian branches, each of complex width
+    s^2 = delta0^2 + i hbar t / m_i and amplitude N c delta0 / s, at
+    u = z + g_eff t^2 / 2 (`t` and `z` broadcast); far tails are set to 0."""
+    hbar, mi = unit.hbar, params.mass.m_inertial
     lo, hi = spec.peak_centers()
     branches = [(lo, spec.c_plus)] + [(hi, spec.c_minus)] * (spec.kind == CAT)
     phi = dphi = 0.0
-    with np.errstate(all="ignore"):  # far tails are set to 0; overflow below
+    with np.errstate(all="ignore"):  # overflow is left to the callers
         s2 = spec.delta0**2 + 1j * hbar * t / mi
-        x0 = z_d + 0.5 * params.g_eff * t**2
+        x0 = z + 0.5 * params.g_eff * t**2
         for center, coeff in branches:
             x = x0 - center
             exponent = -x * x / (2.0 * s2)
             branch = coeff * np.exp(exponent, out=np.zeros_like(exponent),
                                     where=exponent.real > -800.0)
             phi, dphi = phi + branch, dphi - x / s2 * branch
-        phi, dphi = (normalization_constant(spec) * spec.delta0 / np.sqrt(s2)
-                     * np.array([phi, dphi]))
-        current = (hbar * (phi.conjugate() * dphi).imag
-                   - params.force * t * np.abs(phi) ** 2) / mi
-    if not np.isfinite(current).all():
-        raise ConfigurationError("the closed-form current overflows; reduce "
+        return (normalization_constant(spec) * spec.delta0 / np.sqrt(s2)
+                * np.array([phi, dphi]))
+
+
+def closed_form_field(spec: WavepacketSpec, params: LinearPotentialParams,
+                      t, z, unit: UnitSystem = DEFAULT_UNITS) -> np.ndarray:
+    """psi(z, t) on no grid (`t` and `z` broadcast): the transform of
+    :func:`exact_wavefunction` applied to the branch sum phi,
+    exp(-i F t z / hbar - i F^2 t^3 / (6 m_i hbar)) phi(z + g_eff t^2 / 2)."""
+    hbar, mi, force = unit.hbar, params.mass.m_inertial, params.force
+    t, z = np.asarray(t, float), np.asarray(z, float)
+    phi, _ = _branch_sum(spec, params, t, z, unit)
+    with np.errstate(all="ignore"):
+        return _finite("field", np.exp(
+            -1j * force * t * z / hbar
+            - 1j * force**2 * t**3 / (6.0 * mi * hbar)) * phi)
+
+
+def arrival_current(spec: WavepacketSpec, params: LinearPotentialParams,
+                    z_d: float, times, unit: UnitSystem = DEFAULT_UNITS,
+                    ) -> np.ndarray:
+    """The probability current J(z_d, t) at `times` on no grid, from the
+    branch sum phi of :func:`closed_form_field`:
+    J = (hbar / m_i) Im(phi* d_u phi) - (F t / m_i) |phi|^2."""
+    hbar, mi, t = unit.hbar, params.mass.m_inertial, np.asarray(times, float)
+    phi, dphi = _branch_sum(spec, params, t, z_d, unit)
+    with np.errstate(all="ignore"):
+        return _finite("current", (hbar * (phi.conjugate() * dphi).imag
+                                   - params.force * t * np.abs(phi) ** 2) / mi)
+
+
+def _finite(what: str, values: np.ndarray) -> np.ndarray:
+    """`values`, checked for the non-finite ones an overflow leaves."""
+    if not np.isfinite(values).all():
+        raise ConfigurationError(f"the closed-form {what} overflows; reduce "
                                  "the drop height or the run length")
-    return current
+    return values
 
 
 def default_timestep(t_total: float) -> float:
@@ -292,7 +308,8 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
     chi = initial.amplitudes / half_kick
     spectrum = np.fft.fft(chi)
     initial_moments = spectral_moments(chi, spectrum, grid, hbar, p_shift)
-    p_reach = _momentum_reach(initial_moments, force * abs(dt) * n_steps)
+    p_reach = (abs(initial_moments.mean_p) + force * abs(dt) * n_steps
+               + 5.0 * math.sqrt(initial_moments.var_p))
     headroom = hbar * grid.k_max / p_reach
     if headroom < NYQUIST_MARGIN:
         raise ConfigurationError(
@@ -338,11 +355,6 @@ def split_step_evolve(initial: GridField, params: LinearPotentialParams,
         final_field=GridField(grid, half_kick * chi), params=params, dt=dt,
         nyquist_headroom=headroom, probe_z=probe_z,
         probe_current=None if weights is None else currents)
-
-
-def _momentum_reach(m0: MomentSet, impulse: float) -> float:
-    """|<p>| + F t + 5 sigma_p: what a run from `m0` reaches after F t."""
-    return abs(m0.mean_p) + impulse + 5.0 * math.sqrt(m0.var_p)
 
 
 def probe_weights(grid: SpatialGrid, z: float) -> np.ndarray:
@@ -397,14 +409,12 @@ def refine_timestep(spec: WavepacketSpec, params: LinearPotentialParams,
     return {"dt": dt, "n_steps": n, "errors": errors, "ratios": ratios}
 
 
-def dump_snapshots(snapshots, directory, fmt: str = "csv",
-                   count: int | None = None):
-    """Write (t, field) `snapshots` as {t, z, Re psi, Im psi} records.
+def dump_snapshots(snapshots, directory, fmt: str = "csv"):
+    """Write each (t, z, psi) of `snapshots` to its own file
+    `snapshot_NNNNNN.<fmt>`, before the next is taken from `snapshots`.
 
-    `fmt` selects one CSV file per snapshot, each written before the next
-    pair is taken from `snapshots`, or a single .npz bundle, whose fields
-    are copied into one array of `count` rows as they are taken (without
-    `count` the pairs are listed first). Returns the list of paths written.
+    A CSV file holds {t, z, Re psi, Im psi} rows; an npz file holds the
+    arrays `t`, `z` and `psi`. Returns the list of paths written.
     """
     from pathlib import Path
 
@@ -412,25 +422,16 @@ def dump_snapshots(snapshots, directory, fmt: str = "csv",
         raise ConfigurationError(f"unknown snapshot format {fmt!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if fmt == "npz":
-        if count is None:
-            snapshots = list(snapshots)
-            count = len(snapshots)
-        times = np.empty(count)
-        for i, (t, fld) in enumerate(snapshots):
-            if i == 0:
-                psi = np.empty((count, fld.grid.n_points), dtype=complex)
-            times[i], psi[i] = t, fld.amplitudes
-        path = directory / "snapshots.npz"
-        np.savez(path, times=times, z=fld.grid.points, psi=psi)
-        return [path]
     paths = []
-    for i, (t, fld) in enumerate(snapshots):
-        path = directory / f"snapshot_{i:06d}.csv"
-        with open(path, "w") as fh:
+    for i, (t, z, psi) in enumerate(snapshots):
+        paths.append(directory / f"snapshot_{i:06d}.{fmt}")
+        if fmt == "npz":
+            np.savez(paths[-1], t=t, z=z, psi=psi)
+            continue
+        with open(paths[-1], "w") as fh:
             fh.write("t,z,re_psi,im_psi\n")
-            for zj, aj in zip(fld.grid.points, fld.amplitudes):
-                fh.write(f"{float(t)!r},{float(zj)!r},"
+            t_text = repr(float(t))
+            for zj, aj in zip(z, psi):
+                fh.write(f"{t_text},{float(zj)!r},"
                          f"{float(aj.real)!r},{float(aj.imag)!r}\n")
-        paths.append(path)
     return paths

@@ -31,9 +31,8 @@ from .evolve import (
     ACCELERATED_FRAME,
     GRAVITY,
     LinearPotentialParams,
-    _exact_fields,
-    _momentum_reach,
     arrival_current,
+    closed_form_field,
     dump_snapshots,
     moment_evolution,
 )
@@ -60,7 +59,6 @@ from .tof import (
 __all__ = [
     "STATE_FAMILIES",
     "Particle",
-    "GridSettings",
     "SolverSettings",
     "SweepSettings",
     "ExperimentConfig",
@@ -90,19 +88,8 @@ class Particle:
 
 # The fewest points of a grid that plan_domain plans.
 MIN_GRID_POINTS = 1024
-
-
-@dataclass(frozen=True)
-class GridSettings:
-    """The cap on the size of a grid planned from the drop parameters."""
-
-    max_points: int = 2**16
-
-    def __post_init__(self):
-        if self.max_points < MIN_GRID_POINTS:
-            raise ConfigurationError(
-                f"max_points must be >= {MIN_GRID_POINTS}, the fewest points "
-                "of a planned grid", key="max_points")
+# The most points of one snapshot window.
+MAX_SNAPSHOT_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -164,7 +151,6 @@ class ExperimentConfig:
     field_strength: float = 1.0
     accel_factor: float = 2.0  # negative-control a = accel_factor * g; 0 = off
     z_detector: float = 0.0
-    grid: GridSettings = GridSettings()
     solver: SolverSettings = SolverSettings()
     sweep: SweepSettings = SweepSettings()
     auto_match: bool = False
@@ -184,7 +170,6 @@ class ExperimentConfig:
         return {
             **{key: getattr(self, key) for key in _EXPERIMENT_KEYS},
             "units": {key: getattr(self.unit, key) for key in _UNIT_KEYS},
-            "grid": asdict(self.grid),
             "solver": asdict(self.solver),
             "sweep": asdict(self.sweep),
             "particles": [dict(p.spec.to_record(), **asdict(p.mass))
@@ -220,66 +205,64 @@ def fit_power_law(x, y) -> tuple[float, float, float]:
     return slope, stderr, intercept
 
 
+def _margins(spec: WavepacketSpec, sigma_z: float, p_abs: float,
+             sigma_p: float, unit: UnitSystem) -> tuple[float, float]:
+    """(pad, spacing) around a packet of spread `sigma_z`: 9 sigma_z + delta
+    + 8 delta0, and at most delta0 / 3 and pi hbar / 2.5 (|p| + 6 sigma_p)."""
+    return (9.0 * sigma_z + spec.delta + 8.0 * spec.delta0,
+            min(np.pi * unit.hbar / (2.5 * (p_abs + 6.0 * sigma_p)),
+                spec.delta0 / 3.0))
+
+
 def plan_domain(entries, z_detector: float, t_final: float,
                 unit: UnitSystem = DEFAULT_UNITS,
                 max_points: int = 2**16) -> SpatialGrid:
-    """Size the periodic domain for a set of (spec, params) drops.
+    """Size the periodic domain for the one (spec, params) drop of `entries`.
 
     The grid must hold the fallen packet with its spread tails, the
     detector plane, and (for the exact propagator's intermediate) the
-    packet spreading in place without falling. The spacing is set by the
-    largest momentum acquired during the run with a factor 2.5 to
-    spare and by the peak-width resolution requirement; the size is the
-    smallest `fft_size`, and at least 1,024, that meets them."""
-    tops, bottoms, spacings = [], [], []
-    for spec, params in entries:
-        m0 = analytic_moments(spec, unit)
-        v0 = m0.mean_p / params.mass.m_inertial
-        sigma = max(math.sqrt(m0.var_z),
-                    math.sqrt(moment_evolution(m0, params, t_final).var_z))
-        pad = 9.0 * sigma + spec.delta + 8.0 * spec.delta0
-        free_top = max(m0.mean_z, m0.mean_z + v0 * t_final)
-        fall = [m0.mean_z,
-                m0.mean_z + v0 * t_final - 0.5 * params.g_eff * t_final**2]
-        if params.g_eff > 0 and 0 < v0 / params.g_eff < t_final:
-            t_peak = v0 / params.g_eff
-            fall.append(m0.mean_z + 0.5 * v0 * t_peak)
-        tops.append(max(free_top, max(fall)) + pad)
-        bottoms.append(min(min(fall), z_detector) - pad)
-        p_reach = max(abs(m0.mean_p), abs(m0.mean_p - params.force * t_final)) \
-            + 6.0 * math.sqrt(m0.var_p)
-        spacings.append(min(np.pi * unit.hbar / (2.5 * p_reach),
-                            spec.delta0 / 3.0))
-    z_top, z_bot = max(tops), min(bottoms)
-    need = (z_top - z_bot) / min(spacings)  # inf or nan if a scale overflowed
+    packet spreading in place without falling, for the split-step oracle.
+    Pad and spacing are `_margins` at the widest spread and the largest
+    momentum; the size is the smallest `fft_size`, at least 1,024."""
+    [(spec, params)] = entries
+    m0 = analytic_moments(spec, unit)
+    v0 = m0.mean_p / params.mass.m_inertial
+    sigma = max(math.sqrt(m0.var_z),
+                math.sqrt(moment_evolution(m0, params, t_final).var_z))
+    pad, spacing = _margins(
+        spec, sigma, max(abs(m0.mean_p), abs(m0.mean_p - params.force * t_final)),
+        math.sqrt(m0.var_p), unit)
+    free_top = max(m0.mean_z, m0.mean_z + v0 * t_final)
+    fall = [m0.mean_z,
+            m0.mean_z + v0 * t_final - 0.5 * params.g_eff * t_final**2]
+    if params.g_eff > 0 and 0 < v0 / params.g_eff < t_final:
+        fall.append(m0.mean_z + 0.5 * v0 * (v0 / params.g_eff))
+    z_top = max(free_top, max(fall)) + pad
+    z_bot = min(min(fall), z_detector) - pad
+    need = (z_top - z_bot) / spacing  # inf or nan if a scale overflowed
     n = (max(fft_size(need), MIN_GRID_POINTS) if need <= max_points
          else need)
     if not n <= max_points:
         raise ConfigurationError(
-            f"run needs {n:.6g} grid points, above the cap {max_points}; "
-            "reduce the drop height or coarsen the tolerance")
+            f"run needs {n:.6g} grid points, above max_points = {max_points}; "
+            "reduce the drop height or pass a larger max_points")
     return make_grid(z_bot, z_top, n)
 
 
 # A planned drop: its run name and record label, state and parameters,
-# closed-form crossing (t_cross, sigma), snapshot grid (or None) and time step.
-_Drop = namedtuple("_Drop", "name label spec params crossing grid dt")
+# closed-form crossing (t_cross, sigma) and time step.
+_Drop = namedtuple("_Drop", "name label spec params crossing dt")
 
 
 def _plan(entries, config: ExperimentConfig) -> list[_Drop]:
-    """Plan (label, spec, params) drops named `<label>_<mode>` on one clock,
-    and on one planned domain when snapshots are asked for. Each crossing
-    is taken once; the run lasts until the latest upper window edge, with
-    slack."""
+    """Plan (label, spec, params) drops named `<label>_<mode>` on one clock.
+    Each crossing is taken once; the run lasts until the latest upper
+    window edge, with slack."""
     crossings = [crossing_spread(analytic_moments(spec, config.unit), params,
                                  config.z_detector) for _, spec, params in entries]
     t_final = max(t + 1.08 * config.solver.window_sigmas * sigma
                   for t, sigma in crossings)
-    grid = plan_domain(
-        [entry[1:] for entry in entries], config.z_detector, t_final,
-        config.unit, config.grid.max_points,
-    ) if config.solver.snapshot_stride else None
-    return [_Drop(f"{label}_{params.mode}", label, spec, params, crossing, grid,
+    return [_Drop(f"{label}_{params.mode}", label, spec, params, crossing,
                   t_final / config.solver.time_steps)
             for (label, spec, params), crossing in zip(entries, crossings)]
 
@@ -353,30 +336,44 @@ def _sampling_errors(dists) -> dict:
 
 @dataclass
 class _RunLog:
-    """What an experiment's runs leave in its manifest: the grid size and
-    Nyquist headroom of each run with snapshots, its snapshots, warnings."""
+    """What an experiment's runs leave in its manifest: the snapshot window
+    sizes of each run with snapshots, its snapshots, warnings."""
 
     runs: dict[str, dict] = field(default_factory=dict)
     snapshots: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
     def solved(self, drop: _Drop, config: ExperimentConfig) -> None:
-        """Log run `drop`. With snapshots, log its grid and write the exact
-        field on that grid at every `snapshot_stride`-th step, each computed
-        as it is written, to <output_dir>/snapshots/<name>."""
+        """Log run `drop`. With snapshots, write the closed-form field at
+        every `snapshot_stride`-th step to <output_dir>/snapshots/<name>,
+        each computed as it is written on its own window: the packet's mean
+        at t with `_margins` at t on either side. Every window is sized, and
+        held to `MAX_SNAPSHOT_POINTS`, before the first file is written."""
         stride, n = config.solver.snapshot_stride, config.solver.time_steps
         if not stride:
             return
-        grid, unit, out = drop.grid, config.unit, Path(config.output_dir)
-        reach = _momentum_reach(analytic_moments(drop.spec, unit),
-                                drop.params.force * drop.dt * n)
-        self.runs[drop.name] = {"grid_points": grid.n_points,
-                                "nyquist_headroom": unit.hbar * grid.k_max
-                                / reach}
-        times = [step * drop.dt for step in range(0, n + 1, stride)]
-        fields = _exact_fields(drop.spec, drop.params, times, grid, unit)
+        spec, params, unit = drop.spec, drop.params, config.unit
+        m0, windows = analytic_moments(spec, unit), []
+        for t in [step * drop.dt for step in range(0, n + 1, stride)]:
+            m = moment_evolution(m0, params, t)
+            pad, dz = _margins(spec, math.sqrt(m.var_z), abs(m.mean_p),
+                               math.sqrt(m.var_p), unit)
+            with np.errstate(all="ignore"):  # inf or nan if a scale overflowed
+                half = np.ceil(np.divide(pad, dz))
+            if not 2 * half + 1 <= MAX_SNAPSHOT_POINTS:
+                raise ConfigurationError(
+                    f"run {drop.name}: the snapshot at t = {t:.6g} needs "
+                    f"{2 * half + 1:.6g} points, above the cap "
+                    f"{MAX_SNAPSHOT_POINTS}; reduce the mass or the height")
+            windows.append((t, m.mean_z, dz, int(half)))
+        self.runs[drop.name] = {
+            "snapshot_points": [2 * half + 1 for *_, half in windows]}
+        out = Path(config.output_dir)
+        fields = ((t, z, closed_form_field(spec, params, t, z, unit))
+                  for t, z in ((t, centre + dz * np.arange(-half, half + 1))
+                               for t, centre, dz, half in windows))
         paths = dump_snapshots(fields, out / "snapshots" / drop.name,
-                               config.snapshot_format, len(times))
+                               config.snapshot_format)
         self.snapshots += [path.relative_to(out).as_posix() for path in paths]
 
     def arrived(self, dist, name: str) -> None:
@@ -431,13 +428,9 @@ class ExperimentReport:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):  # includes numpy scalars
         return repr(float(value))
-    if isinstance(value, int):
-        return str(value)
-    return str(value) if value is not None else ""
+    return "" if value is None else str(value)
 
 
 def _base_manifest(config: ExperimentConfig, record: dict,

@@ -20,6 +20,7 @@ from .evolve import (
     GRAVITY,
     LinearPotentialParams,
     arrival_current,
+    closed_form_field,
     exact_wavefunction,
     moment_evolution,
     refine_timestep,
@@ -143,8 +144,9 @@ def check_planned_grid_drops():
     # The m = 16 Gaussian's field: 4.4e-14 on 1,440 points, held to 1e-12.
     # Its probe current and four random cats' (m in [0.5, 16], z0 in [-2, 2]
     # over a detector at 0): 1.3e-13 from `arrival_current`, held to 1e-11.
+    # Their fields at t = 3: 4.0e-13 from `closed_form_field`, held to 1e-12.
     rng = np.random.default_rng(20261019)
-    runs = []
+    runs, field_gap = [], 0.0
     for spec, mass in [(WavepacketSpec.gaussian(2.0, 1.0), 16.0)] + [
             (_random_spec(rng), rng.uniform(0.5, 16.0)) for _ in range(4)]:
         params = LinearPotentialParams(MassPair(mass, mass), 1.0, GRAVITY)
@@ -152,6 +154,9 @@ def check_planned_grid_drops():
         runs.append((spec, split_step_evolve(
             build_wavefunction(spec, grid), params, 3.0 / 512, 512,
             unit=_UNIT, probe_z=0.0)))
+        field_gap = max(field_gap, float(np.max(np.abs(
+            closed_form_field(spec, params, 3.0, grid.points, _UNIT)
+            - exact_wavefunction(spec, params, 3.0, grid, _UNIT).amplitudes))))
     current_gap = max(float(np.max(np.abs(run.probe_current - arrival_current(
         spec, run.params, 0.0, run.times, _UNIT)))) for spec, run in runs)
     spec, run = runs[0]
@@ -160,9 +165,11 @@ def check_planned_grid_drops():
     phase = np.exp(1j * np.angle(np.vdot(exact, psi)))
     gap = math.sqrt(np.sum(np.abs(psi - phase * exact) ** 2) * grid.spacing)
     n = grid.n_points
-    return gap <= 1e-12 and current_gap <= 1e-11 and n & (n - 1) != 0, \
+    return (gap <= 1e-12 and current_gap <= 1e-11 and field_gap <= 1e-12
+            and n & (n - 1) != 0), \
         f"{n} points, L2 gap {gap:.2e} after phase {np.angle(phase):.2e}; " \
-        f"current gap {current_gap:.2e} over {len(runs)} drops"
+        f"current gap {current_gap:.2e}, field gap {field_gap:.2e} over " \
+        f"{len(runs)} drops"
 
 
 def check_ep_identity_quick():

@@ -7,6 +7,7 @@ from qfall import (
     WavepacketSpec,
     make_grid,
 )
+from qfall.core import fft_size
 
 EPS_RATIO = (np.e - 1.0) / (np.e + 1.0)  # epsilon^2 of the even cat at delta = delta0
 
@@ -69,6 +70,12 @@ def grid_for(spec: WavepacketSpec, n_points: int = 4096):
     """Grid holding the spec with wide spectral margins."""
     half = spec.delta + 14.0 * spec.delta0
     return make_grid(spec.z0 - half, spec.z0 + half, n_points)
+
+
+def padded(grid, pad: float):
+    """`grid` widened by `pad` on each side at (about) its spacing."""
+    return make_grid(grid.z_min - pad, grid.z_max + pad,
+                     fft_size((grid.length + 2.0 * pad) / grid.spacing))
 
 
 def short_default(extra: str = "") -> str:

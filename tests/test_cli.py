@@ -44,7 +44,6 @@ def test_minimal_config_gets_defaults():
     config = parse_config_text(MINIMAL)
     assert len(config.particles) == 1
     assert config.particles[0].spec.kind == "gaussian"
-    assert config.grid.max_points == 2**16
     assert config.solver.time_steps == 4096
     assert config.z_detector == 0.0
     assert config.field_strength == 1.0

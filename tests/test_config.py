@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from qfall import (
     STATE_FAMILIES,
     ExperimentConfig,
-    GridSettings,
     MassPair,
     ParseError,
     Particle,
@@ -20,7 +19,8 @@ from qfall import (
 from qfall.config import DEFAULT_CONFIG_TEXT, _render
 
 # The default config text as it was written out by hand, with the keys since
-# removed: `auto`, `seed`, `m_ref` and `delta0_ref`.
+# removed: `auto` (with its section, [grid]), `seed`, `m_ref` and
+# `delta0_ref`.
 FORMER_DEFAULT_TEXT = """\
 [units]
 hbar = 1.0
@@ -77,13 +77,22 @@ def test_default_text_keeps_the_former_default():
 
 
 def test_seed_is_an_unknown_key():
-    removed = ("auto", "seed", "m_ref", "delta0_ref")
-    for key in removed:  # each removed key alone in the former text
+    """Strict mode rejects each removed key; the keys of the removed [grid]
+    section, `auto` and `max_points`, with their section. Without --strict
+    they are ignored."""
+    removed = ("[grid]", "auto", "seed", "m_ref", "delta0_ref")
+    for key in removed[2:]:  # each removed key alone in the former text
         text = "".join(line for line in FORMER_DEFAULT_TEXT.splitlines(True)
-                       if line.split(" = ")[0] not in removed
+                       if line.split(" = ")[0].strip() not in removed
                        or line.startswith(f"{key} = "))
         with pytest.raises(ParseError, match=f"unknown key '{key}'"):
             parse_config_text(text, strict=True)
+    default = parse_config_text(DEFAULT_CONFIG_TEXT)
+    for line in ("auto = true", "max_points = 65536"):
+        text = f"{DEFAULT_CONFIG_TEXT}\n[grid]\n{line}\n"
+        with pytest.raises(ParseError, match="unknown section 'grid'"):
+            parse_config_text(text, strict=True)
+        assert parse_config_text(text) == default
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -108,7 +117,6 @@ REJECTED_SETTINGS = [
      "record_stride 1000 is above 682, .* of time_steps 4096"),
     ("solver", "snapshot_stride", "-1", "snapshot_stride must be >= 0"),
     ("solver", "window_sigmas", "0", "window_sigmas must be positive"),
-    ("grid", "max_points", "1000", "max_points must be >= 1024"),
     ("units", "hbar", "0", "hbar must be positive"),
     ("units", "g", "-1", "g must be nonnegative"),
     ("sweep", "state_kinds", "gaussian, gausian",
@@ -205,7 +213,6 @@ configs = st.builds(
     field_strength=st.floats(0.1, 10.0),
     accel_factor=st.floats(0.0, 5.0),
     z_detector=st.floats(-5.0, 5.0),
-    grid=st.builds(GridSettings, max_points=st.integers(1024, 2**20)),
     # a record keeps at least 8 times: time_steps > 6 record_stride
     solver=st.integers(1, 64).flatmap(lambda stride: st.builds(
         SolverSettings, time_steps=st.integers(max(16, 6 * stride + 1), 10**5),

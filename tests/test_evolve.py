@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qfall import (
     ACCELERATED_FRAME,
     GRAVITY,
+    STATE_FAMILIES,
     BoundaryBreachError,
     ConfigurationError,
     GridField,
@@ -19,6 +20,8 @@ from qfall import (
     analytic_moments,
     arrival_current,
     build_wavefunction,
+    closed_form_field,
+    crossing_spread,
     default_timestep,
     dump_snapshots,
     exact_wavefunction,
@@ -31,10 +34,9 @@ from qfall import (
 )
 
 from qfall import evolve
-from qfall.core import fft_size
-from qfall.evolve import _exact_fields, probe_current, probe_weights
+from qfall.evolve import probe_current, probe_weights
 
-from conftest import grid_for, random_cat
+from conftest import grid_for, padded, random_cat
 
 
 def params_g(mi=1.0, mg=1.0, g=1.0, mode=GRAVITY):
@@ -263,72 +265,88 @@ def test_default_timestep():
 
 def test_snapshot_dumps(tmp_path):
     spec = WavepacketSpec.gaussian(2.0, 1.0)
-    grid = make_grid(-25.0, 20.0, 1024)
-    steps = (0, 100, 200)
-    snapshots = list(zip(
-        [0.002 * n for n in steps],
-        fields_at(build_wavefunction(spec, grid), params_g(), 0.002, steps)))
+    snapshots = []
+    for i, t in enumerate((0.0, 0.2, 0.4)):
+        z = np.linspace(-10.0 - i, 10.0 + i, 101 + 10 * i)
+        snapshots.append((t, z, closed_form_field(spec, params_g(), t, z)))
     csv_paths = dump_snapshots(snapshots, tmp_path / "csv", fmt="csv")
-    assert len(csv_paths) == 3
-    for path, (t, fld) in zip(csv_paths, snapshots):
+    assert [p.name for p in csv_paths] == [f"snapshot_{i:06d}.csv"
+                                           for i in range(3)]
+    for path, (t, z, psi) in zip(csv_paths, snapshots):
         lines = path.read_text().splitlines()
         assert lines[0] == "t,z,re_psi,im_psi"
         rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
-        assert np.array_equal(rows[:, 0], np.full(grid.n_points, t))
-        assert np.array_equal(rows[:, 1], grid.points)
-        assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], fld.amplitudes)
+        assert np.array_equal(rows[:, 0], np.full(len(z), t))
+        assert np.array_equal(rows[:, 1], z)
+        assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], psi)
     npz_paths = dump_snapshots(iter(snapshots), tmp_path / "npz", fmt="npz")
-    bundle = np.load(npz_paths[0])
-    assert np.array_equal(bundle["times"], [t for t, _ in snapshots])
-    assert np.array_equal(bundle["z"], grid.points)
-    assert np.array_equal(bundle["psi"],
-                          [fld.amplitudes for _, fld in snapshots])
+    assert [p.name for p in npz_paths] == [f"snapshot_{i:06d}.npz"
+                                           for i in range(3)]
+    for path, (t, z, psi) in zip(npz_paths, snapshots):
+        with np.load(path) as saved:
+            assert sorted(saved.files) == ["psi", "t", "z"]
+            assert saved["t"] == t
+            assert np.array_equal(saved["z"], z)
+            assert np.array_equal(saved["psi"], psi)
     with pytest.raises(ConfigurationError):
         dump_snapshots(snapshots, tmp_path, fmt="hdf5")
 
 
-def test_npz_snapshots_fill_one_array_from_a_counted_source(tmp_path):
-    """With the count given, a lazy source is copied field by field into one
-    array, and the bundle equals the one written from a list."""
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(snapshots=st.lists(st.tuples(
+    finite, st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.lists(finite, min_size=n, max_size=n),
+        st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                 min_size=n, max_size=n)))), min_size=1, max_size=3))
+def test_snapshots_read_back_bit_for_bit(tmp_path_factory, snapshots):
+    """Any finite (t, z, psi) comes back from either format bit for bit,
+    signed zeros included."""
+    snapshots = [(t, np.array(z), np.array(psi, dtype=complex))
+                 for t, (z, psi) in snapshots]
+    out = tmp_path_factory.mktemp("round_trip")
+    for path, (t, z, psi) in zip(dump_snapshots(snapshots, out, "csv"),
+                                 snapshots):
+        t_col, z_col, re, im = (np.loadtxt(path, delimiter=",", skiprows=1,
+                                           ndmin=2).T)
+        assert t_col.tobytes() == np.full(len(z), t).tobytes()
+        assert z_col.tobytes() == z.tobytes()
+        assert re.tobytes() == psi.real.tobytes()
+        assert im.tobytes() == psi.imag.tobytes()
+    for path, (t, z, psi) in zip(dump_snapshots(snapshots, out, "npz"),
+                                 snapshots):
+        with np.load(path) as saved:
+            assert saved["t"].tobytes() == np.float64(t).tobytes()
+            assert saved["z"].tobytes() == z.tobytes()
+            assert saved["psi"].tobytes() == psi.tobytes()
+
+
+def test_exact_rejects_negative_time():
     spec = WavepacketSpec.gaussian(0.0, 1.0)
-    grid = grid_for(spec, 256)
-    times = [0.0, 0.5, 1.0]
-    listed = list(_exact_fields(spec, params_g(), times, grid))
-    counted = dump_snapshots(iter(listed), tmp_path / "a", "npz", len(times))
-    plain = dump_snapshots(listed, tmp_path / "b", "npz")
-    a, b = np.load(counted[0]), np.load(plain[0])
-    for key in ("times", "z", "psi"):
-        assert a[key].dtype == b[key].dtype
-        assert np.array_equal(a[key], b[key])
-
-
-def test_exact_series_is_exact_wavefunction_bit_for_bit():
-    spec = WavepacketSpec.yurke_stoler(2.0, 1.0, 1.0)
-    grid = make_grid(-30.0, 30.0, 1080)
-    times = [0.0, 0.7, 1.9]
-    for t, field in _exact_fields(spec, params_g(), times, grid):
-        single = exact_wavefunction(spec, params_g(), t, grid)
-        assert field.amplitudes.tobytes() == single.amplitudes.tobytes()
     with pytest.raises(PreconditionError):
-        next(_exact_fields(spec, params_g(), [0.5, -0.1], grid))
+        exact_wavefunction(spec, params_g(), -0.1, grid_for(spec, 256))
 
 
 def test_csv_snapshots_are_written_one_at_a_time(tmp_path):
-    """The writer takes the next field only after the previous file is on
-    disk, so a lazy source holds one field at a time."""
-    spec = WavepacketSpec.gaussian(0.0, 1.0)
-    field0 = build_wavefunction(spec, grid_for(spec, 256))
+    """The writer takes the next snapshot only after the previous file is on
+    disk, so a lazy source holds one field at a time; npz files too."""
+    z = np.linspace(-5.0, 5.0, 64)
+    psi = closed_form_field(WavepacketSpec.gaussian(0.0, 1.0), params_g(),
+                            0.0, z)
 
-    def lazy():
+    def lazy(fmt):
         for i in range(4):
             if i:
-                assert (tmp_path / f"snapshot_{i - 1:06d}.csv").is_file()
-            assert not (tmp_path / f"snapshot_{i:06d}.csv").exists()
-            yield 0.5 * i, field0
+                assert (tmp_path / f"snapshot_{i - 1:06d}.{fmt}").is_file()
+            assert not (tmp_path / f"snapshot_{i:06d}.{fmt}").exists()
+            yield 0.5 * i, z, psi
 
-    paths = dump_snapshots(lazy(), tmp_path)
-    assert [p.name for p in paths] == [f"snapshot_{i:06d}.csv"
-                                       for i in range(4)]
+    for fmt in ("csv", "npz"):
+        paths = dump_snapshots(lazy(fmt), tmp_path, fmt)
+        assert [p.name for p in paths] == [f"snapshot_{i:06d}.{fmt}"
+                                           for i in range(4)]
 
 
 def test_record_costs_no_transform(monkeypatch):
@@ -427,14 +445,37 @@ def test_arrival_current_matches_the_split_step_probe(seed, mass, mode):
     oracle wraps and misses by 1.1e-10 (the pinned example)."""
     spec = random_cat(np.random.default_rng(seed))
     params = LinearPotentialParams(MassPair(mass, mass), 1.0, mode)
-    planned = plan_domain([(spec, params)], 0.0, 3.0)
-    pad = 10.0
-    grid = make_grid(planned.z_min - pad, planned.z_max + pad, fft_size(
-        (planned.z_max - planned.z_min + 2 * pad) / planned.spacing))
+    grid = padded(plan_domain([(spec, params)], 0.0, 3.0), 10.0)
     run = split_step_evolve(build_wavefunction(spec, grid), params, 3.0 / 256,
                             256, probe_z=0.0, record_stride=3)
     current = arrival_current(spec, params, 0.0, run.times)
     assert np.max(np.abs(current - run.probe_current)) <= 1e-11
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(
+    sorted(STATE_FAMILIES)), mass=st.floats(0.5, 16.0),
+    fraction=st.floats(0.0, 1.0),
+    mode=st.sampled_from((GRAVITY, ACCELERATED_FRAME)))
+def test_closed_form_field_matches_the_exact_propagator(seed, kind, mass,
+                                                        fraction, mode):
+    """Each state kind, of mass 0.5 to 16 and released from z0 in [1, 4] over
+    a detector at 0, at any t of its drop's run: the closed-form field equals
+    `exact_wavefunction` to 1e-12 on the planned domain padded by 60 on each
+    side, where the periodic oracle has converged (on the planned domain
+    alone a light cat's oracle wraps by up to 3.4e-7)."""
+    rng = np.random.default_rng(seed)
+    delta0 = rng.uniform(0.6, 1.6)
+    spec = STATE_FAMILIES[kind](rng.uniform(1.0, 4.0),
+                                rng.uniform(0.3, 2.5) * delta0, delta0)
+    params = LinearPotentialParams(MassPair(mass, mass), 1.0, mode)
+    t_cross, sigma = crossing_spread(analytic_moments(spec), params, 0.0)
+    t_final = t_cross + 1.08 * 8.0 * sigma
+    grid = padded(plan_domain([(spec, params)], 0.0, t_final), 60.0)
+    t = fraction * t_final
+    exact = exact_wavefunction(spec, params, t, grid).amplitudes
+    field = closed_form_field(spec, params, t, grid.points)
+    assert np.max(np.abs(field - exact)) <= 1e-12
 
 
 def test_arrival_current_of_a_gaussian_ignores_c_minus():

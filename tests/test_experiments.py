@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qfall import (
     ACCELERATED_FRAME,
     DEFAULT_CONFIG_TEXT,
+    DEFAULT_UNITS,
     GRAVITY,
     STATE_FAMILIES,
     ConfigurationError,
@@ -27,10 +28,12 @@ from qfall import (
     WavepacketSpec,
     analytic_moments,
     build_wavefunction,
+    closed_form_field,
     current_tof_distribution,
     ehrenfest_tof,
     exact_wavefunction,
     fit_power_law,
+    moment_evolution,
     parse_config_text,
     plan_domain,
     run_decoherence_comparison,
@@ -41,8 +44,9 @@ from qfall import (
     split_step_evolve,
 )
 from qfall import evolve, experiments, tof
+from qfall.evolve import probe_weights
 from conftest import (EPS_RATIO, EXTREME_CONFIGS, largest_prime_factor,
-                      short_default)
+                      padded, short_default)
 
 FAST_SOLVER = SolverSettings(time_steps=1024)
 
@@ -70,7 +74,8 @@ def test_plan_domain_contains_drop():
 def test_plan_domain_respects_cap():
     spec = WavepacketSpec.gaussian(200.0, 1.0)
     params = LinearPotentialParams(MassPair(1, 1), 1.0, GRAVITY)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError,
+                       match="above max_points = 2048; .* larger max_points"):
         plan_domain([(spec, params)], 0.0, 25.0, max_points=2048)
 
 
@@ -421,35 +426,21 @@ def test_manifest_warns_on_low_capture(monkeypatch, runner, particles,
     assert all("captured" in w for w in warnings)
 
 
-def planned_domains(patch):
-    """Record every domain the experiments plan."""
-    planned = []
-
-    def plan(*args, **kwargs):
-        planned.append(plan_domain(*args, **kwargs))
-        return planned[-1]
-
-    patch.setattr(experiments, "plan_domain", plan)
-    return planned
-
-
 @pytest.fixture(scope="module")
-def default_drop_runs(tmp_path_factory):
-    """(config, report, oracle runs) of the default drop with end-point
-    snapshots. Each oracle run is the split-step solve of one drop on the
-    domain planned for its snapshots, on the drop's clock and probe."""
+def default_drop_runs():
+    """(config, report, oracle runs) of the default drop. Each oracle run is
+    the split-step solve of one drop on the domain `plan_domain` gives it,
+    on the drop's clock and probe."""
     config = parse_config_text(DEFAULT_CONFIG_TEXT)
-    config = replace(config, solver=replace(config.solver, snapshot_stride=4096),
-                     output_dir=str(tmp_path_factory.mktemp("default_drop")))
-    with pytest.MonkeyPatch.context() as patch:
-        planned = planned_domains(patch)
-        report = run_galileo_pair(config)
-    runs = [split_step_evolve(
-        build_wavefunction(particle.spec, grid),
-        LinearPotentialParams(particle.mass, config.field_strength), rec["dt"],
-        config.solver.time_steps, probe_z=config.z_detector)
-        for particle, grid, rec in zip(config.particles, planned,
-                                       report.records)]
+    report = run_galileo_pair(config)
+    runs = []
+    for particle, rec in zip(config.particles, report.records):
+        params = LinearPotentialParams(particle.mass, config.field_strength)
+        grid = plan_domain([(particle.spec, params)], config.z_detector,
+                           rec["dt"] * config.solver.time_steps, config.unit)
+        runs.append(split_step_evolve(
+            build_wavefunction(particle.spec, grid), params, rec["dt"],
+            config.solver.time_steps, probe_z=config.z_detector))
     return config, report, runs
 
 
@@ -465,16 +456,6 @@ def test_drop_density_is_the_current_distribution_of_its_run(default_drop_runs):
         assert np.max(np.abs(dist.density - own.density)) <= 1e-11
         assert dist.mean_t == pytest.approx(own.mean_t, rel=1e-12, abs=0.0)
         assert dist.std_t == pytest.approx(own.std_t, rel=1e-12, abs=0.0)
-
-
-def test_manifest_headroom_is_the_solver_headroom(default_drop_runs):
-    _, report, runs = default_drop_runs
-    logged = report.manifest["runs"]
-    for i, run in enumerate(runs, start=1):
-        entry = logged[f"particle{i}_gravity"]
-        assert entry["grid_points"] == run.final_field.grid.n_points
-        assert entry["nyquist_headroom"] == pytest.approx(
-            run.nyquist_headroom, rel=1e-12, abs=0.0)
 
 
 def test_sampling_error_sits_beside_the_solver_tolerance(default_drop_runs):
@@ -595,7 +576,8 @@ def test_integer_key_magnitudes_run_or_raise_typed_errors(key, exponent,
     """Any power of ten up to 1e15 of one integer key either runs an ep-test
     or raises one of the package's own errors. A time_steps above its cap is
     rejected, naming the key, when the config is parsed, so no run is sized
-    from it. The grid cap is read only to plan snapshot grids."""
+    from it. The removed `[grid] max_points` is ignored without --strict,
+    so its snapshot run goes ahead whatever the value."""
     section = "grid" if key == "max_points" else "solver"
     snapshots = "snapshot_stride = 64\n" if key == "max_points" else ""
     text = short_default(f"[{section}]\n{key} = {10**exponent}\n"
@@ -664,87 +646,147 @@ def test_snapshots_leave_the_records_unchanged(tmp_path):
         f"{rec['label']}_{rec['mode']}" for rec in snapped.records)
 
 
+def read_snapshots(out, report, run):
+    """The (t, z, psi) of each snapshot file that `report` lists for `run`
+    under the output directory `out`, in order."""
+    snapshots = []
+    for name in report.manifest["snapshots"]:
+        if not name.startswith(f"snapshots/{run}/"):
+            continue
+        if name.endswith(".npz"):
+            with np.load(out / name) as saved:
+                snapshots.append((float(saved["t"]), saved["z"], saved["psi"]))
+        else:
+            t, z, re, im = np.loadtxt(out / name, delimiter=",",
+                                      skiprows=1).T
+            assert np.all(t == t[0])
+            snapshots.append((t[0], z, re + 1j * im))
+    return snapshots
+
+
+def assert_unit_norm_windows(snapshots, points):
+    """Each window is uniform, holds its logged number of points and a
+    rectangle-rule norm within 1e-10 of 1."""
+    assert [len(z) for _, z, _ in snapshots] == points
+    for _, z, psi in snapshots:
+        dz = np.diff(z)
+        assert np.allclose(dz, dz[0], rtol=1e-9, atol=0.0)
+        assert abs(np.sum(np.abs(psi) ** 2) * dz[0] - 1.0) <= 1e-10
+
+
 @pytest.mark.parametrize("fmt", ["csv", "npz"])
-def test_snapshots_are_the_exact_fields(monkeypatch, tmp_path, fmt):
-    """Each listed snapshot holds `exact_wavefunction` on the planned grid at
-    t = j K dt, with the stride K not rounded to the record stride."""
-    planned = planned_domains(monkeypatch)
+def test_snapshots_are_the_exact_fields(tmp_path, fmt):
+    """Each listed snapshot holds `closed_form_field` on its own window at
+    t = j K dt, with the stride K not rounded to the record stride: the
+    packet's mean at t, with `_margins` at t on either side."""
     particle = gaussian_particle()
     solver = SolverSettings(time_steps=1024, record_stride=8,
                             snapshot_stride=300)
     report = run_equivalence_test(config_for(
         [particle], accel_factor=0.0, solver=solver, snapshot_format=fmt,
         output_dir=str(tmp_path)))
-    [grid] = planned  # gravity and the accelerated frame share one domain
-    assert report.manifest["runs"]["particle1_gravity"]["grid_points"] \
-        == grid.n_points
-    times = [step * report.records[0]["dt"] for step in (0, 300, 600, 900)]
     params = LinearPotentialParams(particle.mass, 1.0)
-    exact = np.array([exact_wavefunction(particle.spec, params, t, grid)
-                      .amplitudes for t in times])
-    paths = [tmp_path / path for path in report.manifest["snapshots"]
-             if path.startswith("snapshots/particle1_gravity/")]
-    if fmt == "npz":
-        [path] = paths
-        bundle = np.load(path)
-        assert np.array_equal(bundle["times"], times)
-        assert np.array_equal(bundle["z"], grid.points)
-        assert np.array_equal(bundle["psi"], exact)
-        return
-    assert len(paths) == len(times)
-    for path, t, psi in zip(paths, times, exact):
-        t_col, z, re, im = np.loadtxt(path, delimiter=",", skiprows=1).T
-        assert np.array_equal(t_col, np.full(grid.n_points, t))
-        assert np.array_equal(z, grid.points)
-        assert np.array_equal(re + 1j * im, psi)
+    m0 = analytic_moments(particle.spec)
+    snapshots = read_snapshots(tmp_path, report, "particle1_gravity")
+    assert [t for t, _, _ in snapshots] == [
+        step * report.records[0]["dt"] for step in (0, 300, 600, 900)]
+    for t, z, psi in snapshots:
+        m = moment_evolution(m0, params, t)
+        pad, dz = experiments._margins(
+            particle.spec, math.sqrt(m.var_z), abs(m.mean_p),
+            math.sqrt(m.var_p), DEFAULT_UNITS)
+        half = math.ceil(pad / dz)
+        assert np.array_equal(z, m.mean_z + dz * np.arange(-half, half + 1))
+        assert np.array_equal(psi, closed_form_field(particle.spec, params,
+                                                     t, z))
+    assert_unit_norm_windows(snapshots, report.manifest["runs"][
+        "particle1_gravity"]["snapshot_points"])
+
+
+def test_light_cat_snapshot_matches_the_converged_oracle(tmp_path):
+    """The male cat (m_i = m_g = 0.7116, z0 = 2.890, delta = delta0 = 1)
+    whose last snapshot (t = 9.473) the exact propagator on its planned
+    1,440-point domain missed by 3.4e-7: the written snapshot agrees to
+    1e-12 with that propagator on the domain padded by 60 on each side,
+    read at the window's points by band-limited interpolation."""
+    particle = Particle(WavepacketSpec.male_cat(2.890, 1.0, 1.0),
+                        MassPair(0.7116, 0.7116))
+    report = run_equivalence_test(config_for(
+        [particle], accel_factor=0.0, snapshot_format="npz",
+        solver=SolverSettings(snapshot_stride=4096),
+        output_dir=str(tmp_path)))
+    *_, (t, z, psi) = read_snapshots(tmp_path, report, "particle1_gravity")
+    assert t == pytest.approx(9.473, abs=5e-4)
+    params = LinearPotentialParams(particle.mass, 1.0)
+    planned = plan_domain([(particle.spec, params)], 0.0, t)
+    assert planned.n_points == 1440
+    grid = padded(planned, 60.0)
+    spectrum = np.fft.fft(exact_wavefunction(particle.spec, params, t,
+                                             grid).amplitudes)
+    oracle = np.array([probe_weights(grid, zj)[0] @ spectrum for zj in z])
+    assert np.max(np.abs(psi - oracle)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
 def sized_pairs(tmp_path_factory):
-    """mass -> report of the light and heavy drop pairs with end-point
-    snapshots, so each drop plans its own grid."""
-    return {mass: run_galileo_pair(replace(
-        drop_pair(mass), output_dir=str(tmp_path_factory.mktemp("sized")),
-        solver=SolverSettings(time_steps=1024, snapshot_stride=1024)))
-        for mass in (1.5, 16.0)}
+    """mass -> (output directory, report) of the light and heavy drop pairs
+    with end-point snapshots."""
+    pairs = {}
+    for mass in (1.5, 16.0):
+        out = tmp_path_factory.mktemp("sized")
+        pairs[mass] = out, run_galileo_pair(replace(
+            drop_pair(mass), output_dir=str(out), snapshot_format="npz",
+            solver=SolverSettings(time_steps=1024, snapshot_stride=1024)))
+    return pairs
 
 
 def test_snapshot_runs_log_their_planned_grids(sized_pairs):
-    # planned: cat 1,080 and Gaussian 1,250 points at m = 1.5; cat 5,760 and
-    # Gaussian 2,880 at m = 16
-    planned = {1.5: [1080, 1250], 16.0: [5760, 2880]}
-    for mass, report in sized_pairs.items():
+    # each run's window at release (the same for both masses) and at the end
+    # of the run, which grows with the spread and, through its spacing,
+    # with the momentum the drop acquires
+    planned = {1.5: [[115, 745], [99, 919]],
+               16.0: [[115, 3407], [99, 1999]]}
+    for mass, (out, report) in sized_pairs.items():
         runs = report.manifest["runs"]
-        assert [runs[f"particle{i}_gravity"]["grid_points"]
+        assert sorted(runs) == ["particle1_gravity", "particle2_gravity"]
+        assert [runs[f"particle{i}_gravity"]["snapshot_points"]
                 for i in (1, 2)] == planned[mass]
-        # the solver would refuse a run below 2x headroom; a right-sized
-        # grid keeps it under 4x
-        assert all(2.0 <= run["nyquist_headroom"] < 4.0
-                   for run in runs.values())
+        for name, run in runs.items():
+            assert_unit_norm_windows(read_snapshots(out, report, name),
+                                     run["snapshot_points"])
 
 
-@pytest.mark.parametrize("mass", [1.5, 16.0])
-def test_right_sized_grid_keeps_the_physics(monkeypatch, tmp_path,
-                                            sized_pairs, mass):
-    right = sized_pairs[mass]
-    monkeypatch.setattr(experiments, "fft_size",
-                        lambda need: 2 ** math.ceil(math.log2(need)))
-    power_of_two = run_galileo_pair(replace(
-        drop_pair(mass), output_dir=str(tmp_path),
-        solver=SolverSettings(time_steps=1024, snapshot_stride=1024)))
-    for name, run in power_of_two.manifest["runs"].items():
-        assert run["grid_points"] in (2048, 4096, 8192)
-        assert right.manifest["runs"][name]["grid_points"] < run["grid_points"]
-    # the grid serves the snapshots only; the records do not read it
-    for a, b in zip(right.records, power_of_two.records):
-        for key in ("tof_mean", "tof_std", "t_mean_crossing"):
-            assert a[key] == b[key]
+def test_experiments_plan_no_fft_grid(monkeypatch, tmp_path):
+    """All four runners run, the three drop runners with snapshots, while
+    the FFT and the grid planner refuse to be called."""
+
+    def refuse(*args, **kwargs):
+        pytest.fail("an experiment used an FFT grid")
+
+    for owner, name in ((np.fft, "fft"), (np.fft, "ifft"),
+                        (experiments, "plan_domain")):
+        monkeypatch.setattr(owner, name, refuse)
+    cat = Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(1, 1))
+    solver = SolverSettings(time_steps=1024, snapshot_stride=512)
+    for runner, particles in ((run_galileo_pair, drop_pair(1.5).particles),
+                              (run_equivalence_test, [cat]),
+                              (run_decoherence_comparison, [cat]),
+                              (run_mass_sweep, [cat])):
+        out = tmp_path / runner.__name__
+        report = runner(config_for(particles, solver=solver,
+                                   output_dir=str(out)))
+        assert len(report.manifest["snapshots"]) == 3 * len(
+            report.manifest["runs"])
+        assert (runner is run_mass_sweep) == (not report.manifest["runs"])
 
 
 @pytest.mark.parametrize("mass", [256.0, 4096.0])
 def test_heavy_drops_run_without_a_grid(tmp_path, mass):
-    """No grid holds these drops (86,400 and 1,382,400 points); without
-    snapshots none is planned."""
+    """No periodic grid holds these drops (86,400 and 1,382,400 points).
+    They run without snapshots. With snapshots m = 256 runs in either
+    format on windows of at most 52,639 points, and m = 4,096, whose windows
+    need up to about 840,000, raises the window cap error, naming the run,
+    before it writes a file."""
     text = DEFAULT_CONFIG_TEXT + "".join(
         f"\n[particle{i}]\nm_inertial = {mass}\nm_gravitational = {mass}\n"
         for i in (1, 2))
@@ -755,9 +797,26 @@ def test_heavy_drops_run_without_a_grid(tmp_path, mass):
         assert rec["t_mean_crossing"] == rec["t_ehrenfest"]
         assert math.isfinite(rec["tof_mean"]) and math.isfinite(rec["tof_std"])
     assert report.manifest["runs"] == {} and report.manifest["warnings"] == []
-    with pytest.raises(ConfigurationError, match="above the cap 65536"):
-        run_galileo_pair(replace(config, solver=replace(
-            config.solver, snapshot_stride=4096)))
+    if mass == 4096.0:
+        with pytest.raises(ConfigurationError,
+                           match="run particle1_gravity: .* above the cap "
+                                 "65536"):
+            run_galileo_pair(replace(config, solver=replace(
+                config.solver, snapshot_stride=512)))
+        assert not (tmp_path / "snapshots").exists()
+        return
+    for fmt, stride, count in (("npz", 512, 9), ("csv", 4096, 2)):
+        out = tmp_path / fmt
+        snapped = run_galileo_pair(replace(
+            config, output_dir=str(out), snapshot_format=fmt,
+            solver=replace(config.solver, snapshot_stride=stride)))
+        assert snapped.records == [dict(rec, config_digest=snapped.digest)
+                                   for rec in report.records]
+        for name, run in snapped.manifest["runs"].items():
+            assert max(run["snapshot_points"]) <= 52639
+            snapshots = read_snapshots(out, snapped, name)
+            assert len(snapshots) == count
+            assert_unit_norm_windows(snapshots, run["snapshot_points"])
 
 
 def test_a_mode_fault_still_fails_the_equivalence_test(monkeypatch, tmp_path):

@@ -21,6 +21,7 @@ from qfall import (
     normalization_constant,
     numeric_moments,
 )
+from qfall.validate import _moment_gaps
 from conftest import EPS_RATIO, grid_for, random_cat
 
 HBAR = 1.0
@@ -151,6 +152,15 @@ def test_built_cats_have_unit_norm(spec):
 
 
 # --- analytic moments -------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(built_cats)
+def test_analytic_moments_equal_numeric_moments(spec):
+    """The closed-form moments of any built cat equal the grid quadrature's
+    within the scaled 1e-8 that `qfall validate` holds its 30 fixed cats
+    to."""
+    assert _moment_gaps(spec) <= 1e-8
+
 
 def test_parity_states_have_zero_momentum():
     for spec in (WavepacketSpec.male_cat(1.0, 1.0, 1.0),
