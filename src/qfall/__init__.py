@@ -10,16 +10,7 @@ Hamiltonian, which makes equivalence-principle comparisons exact.
 """
 
 from ._version import __version__
-from .core import (
-    DEFAULT_UNITS,
-    GridField,
-    MassPair,
-    SpatialGrid,
-    UnitSystem,
-    boundary_probability,
-    make_grid,
-    norm,
-)
+from .core import DEFAULT_UNITS, MassPair, UnitSystem
 from .errors import (
     BoundaryBreachError,
     ConfigurationError,
@@ -38,10 +29,8 @@ from .states import (
     MomentSet,
     WavepacketSpec,
     analytic_moments,
-    build_wavefunction,
     mixture_moments,
     normalization_constant,
-    numeric_moments,
 )
 from .prepare import (
     MatchReport,
@@ -52,28 +41,21 @@ from .prepare import (
 from .evolve import (
     ACCELERATED_FRAME,
     GRAVITY,
-    EvolutionResult,
     LinearPotentialParams,
     arrival_current,
     closed_form_field,
-    default_timestep,
     dump_snapshots,
-    exact_wavefunction,
     moment_evolution,
-    refine_timestep,
-    split_step_evolve,
 )
 from .tof import (
     TofDistribution,
     asymptotic_sigma_tof,
     crossing_spread,
     crossing_time_from_moments,
-    current_tof_distribution,
     distribution_distance,
     distribution_from_current,
     ehrenfest_tof,
     epsilon_factor,
-    mean_crossing_time,
     semiclassical_sigma_tof,
 )
 from .experiments import (
@@ -84,10 +66,16 @@ from .experiments import (
     SolverSettings,
     SweepSettings,
     fit_power_law,
-    plan_domain,
     run_decoherence_comparison,
     run_equivalence_test,
     run_galileo_pair,
     run_mass_sweep,
 )
 from .config import DEFAULT_CONFIG_TEXT, parse_config, parse_config_text
+# The grid-based oracle of the closed forms above.
+from .validate import (
+    EvolutionResult, GridField, SpatialGrid, boundary_probability,
+    build_wavefunction, current_tof_distribution, default_timestep,
+    exact_wavefunction, make_grid, mean_crossing_time, norm, numeric_moments,
+    plan_domain, refine_timestep, split_step_evolve,
+)

@@ -1,29 +1,21 @@
-"""Time evolution in a uniform force field, by two independent engines.
+"""Closed-form time evolution in a uniform force field.
 
 The Hamiltonian is H = p^2 / 2 m_i + F z with F = m_g * g in gravity mode
 and F = m_i * a in a uniformly accelerated frame: the two modes are the
 same operator reached through different parameters, which is exactly the
 equivalence-principle statement the experiments exercise.
 
-Engines:
+Two closed forms, both on no grid:
 
-* closed-form moment propagation (`moment_evolution`) - exact, since
-  mean values obey the classical equations for a linear potential and a
-  uniform force adds nothing to the central moments beyond free spreading;
-* an exact wavefunction propagator (`exact_wavefunction`) built from the
-  extended Galilean transform: free spectral evolution, a coordinate
-  shift by the classical drop, and a linear momentum-kick phase;
-* the same transform applied to the free Gaussian branches, which gives
-  the field (`closed_form_field`) and the detector current
-  (`arrival_current`) in closed form;
-* a Strang split-operator spectral solver (`split_step_evolve`) with fused
-  half kicks, which steps one run: one transform pair per step, and none
-  more per record. It is the independent oracle of the two closed forms.
+* moment propagation (`moment_evolution`) - exact, since mean values obey
+  the classical equations for a linear potential and a uniform force adds
+  nothing to the central moments beyond free spreading;
+* the extended Galilean transform applied to the free Gaussian branches,
+  which gives the field (`closed_form_field`) and the detector current
+  (`arrival_current`).
 
-For a linear potential the Strang commutator defect is a c-number, so the
-split solution differs from the exact one by a pure global phase
-F^2 dt^3/(24 m hbar) per step; dt halving must shrink the L2 error four-fold
-and the solver is unconditionally norm-preserving.
+Their grid-based oracles, the exact spectral propagator and the Strang
+split-operator solver, live in :mod:`qfall.validate`.
 """
 
 from __future__ import annotations
@@ -33,50 +25,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_UNITS,
-    GridField,
-    MassPair,
-    SpatialGrid,
-    UnitSystem,
-    _check_scale,
-    boundary_probability,
-    norm,
-)
-from .errors import (
-    BoundaryBreachError,
-    ConfigurationError,
-    DomainError,
-    PreconditionError,
-)
-from .states import (CAT, MomentSet, WavepacketSpec, build_wavefunction,
-                     normalization_constant, spectral_moments)
+from .core import DEFAULT_UNITS, MassPair, UnitSystem, _check_scale
+from .errors import ConfigurationError, PreconditionError
+from .states import CAT, MomentSet, WavepacketSpec, normalization_constant
 
 __all__ = [
     "GRAVITY",
     "ACCELERATED_FRAME",
     "LinearPotentialParams",
-    "EvolutionResult",
     "moment_evolution",
-    "exact_wavefunction",
     "closed_form_field",
     "arrival_current",
-    "split_step_evolve",
-    "default_timestep",
-    "refine_timestep",
     "dump_snapshots",
 ]
 
 GRAVITY = "gravity"
 ACCELERATED_FRAME = "accelerated_frame"
-
-# Probability allowed within 5 grid spacings of either boundary before the
-# run aborts; prevents silent wraparound on the periodic domain.
-BOUNDARY_TOL = 1e-10
-BOUNDARY_CELLS = 5
-# Factor by which a split-step grid must out-resolve the momentum a run
-# acquires.
-NYQUIST_MARGIN = 2.0
 
 
 @dataclass(frozen=True)
@@ -114,28 +78,6 @@ class LinearPotentialParams:
         return self.force / self.mass.m_inertial
 
 
-@dataclass
-class EvolutionResult:
-    """Strided record of a split-operator run.
-
-    `times`, `mean_z`, `norms` and (optionally) `probe_current` share one
-    stride. The full moments are kept at release and at the last step, and
-    the final field always.
-    """
-
-    times: np.ndarray
-    mean_z: np.ndarray
-    norms: np.ndarray
-    initial_moments: MomentSet
-    final_moments: MomentSet
-    final_field: GridField
-    params: LinearPotentialParams
-    dt: float
-    nyquist_headroom: float  # hbar k_max over the momentum the run acquires
-    probe_z: float | None = None
-    probe_current: np.ndarray | None = None
-
-
 def moment_evolution(m0: MomentSet, params: LinearPotentialParams,
                      t: float) -> MomentSet:
     """Propagate moments exactly for time t under the uniform force.
@@ -157,41 +99,6 @@ def moment_evolution(m0: MomentSet, params: LinearPotentialParams,
     var_z = m0.var_z + 2.0 * m0.cov_zp * t / mi + m0.var_p * t**2 / mi**2
     cov_zp = m0.cov_zp + m0.var_p * t / mi
     return MomentSet(mean_z, mean_p, var_z, m0.var_p, cov_zp)
-
-
-def exact_wavefunction(spec: WavepacketSpec, params: LinearPotentialParams,
-                       t: float, grid: SpatialGrid,
-                       unit: UnitSystem = DEFAULT_UNITS) -> GridField:
-    """Evolve the initial packet exactly via the extended Galilean transform.
-
-    psi(z, t) = exp(-i F t z / hbar - i F^2 t^3 / (6 m hbar))
-                * phi(z + g_eff t^2 / 2, t)
-
-    with phi the free spectral evolution of the initial state. The free
-    intermediate never falls, so the domain must contain both the fallen
-    and the unfallen spread packet; both are checked against the boundary
-    guard and a breach raises :class:`DomainError` advising a larger grid.
-    It is the oracle of :func:`closed_form_field`.
-    """
-    if t < 0:
-        raise PreconditionError("evolution time must be nonnegative")
-    hbar, mi, force, k = (unit.hbar, params.mass.m_inertial, params.force,
-                          grid.wavenumbers)
-    shift = 0.5 * params.g_eff * t**2
-    spectrum = (np.fft.fft(build_wavefunction(spec, grid).amplitudes)
-                * np.exp(-1j * hbar * k**2 * t / (2.0 * mi)))
-    free = GridField(grid, np.fft.ifft(spectrum))
-    shifted = np.fft.ifft(spectrum * np.exp(1j * k * shift))
-    phase = np.exp(-1j * force * t * grid.points / hbar
-                   - 1j * force**2 * t**3 / (6.0 * mi * hbar))
-    out = GridField(grid, phase * shifted)
-    for fld, text in ((free, "free-spreading intermediate reaches the "
-                       "boundary; enlarge the grid above the release point"),
-                      (out, "evolved state reaches the boundary; enlarge the "
-                       "grid below the detector")):
-        if boundary_probability(fld, BOUNDARY_CELLS) > BOUNDARY_TOL:
-            raise DomainError(text)
-    return out
 
 
 def _branch_sum(spec: WavepacketSpec, params: LinearPotentialParams, t, z,
@@ -218,8 +125,8 @@ def _branch_sum(spec: WavepacketSpec, params: LinearPotentialParams, t, z,
 
 def closed_form_field(spec: WavepacketSpec, params: LinearPotentialParams,
                       t, z, unit: UnitSystem = DEFAULT_UNITS) -> np.ndarray:
-    """psi(z, t) on no grid (`t` and `z` broadcast): the transform of
-    :func:`exact_wavefunction` applied to the branch sum phi,
+    """psi(z, t) on no grid (`t` and `z` broadcast): the extended Galilean
+    transform of the freely spreading branch sum phi,
     exp(-i F t z / hbar - i F^2 t^3 / (6 m_i hbar)) phi(z + g_eff t^2 / 2)."""
     hbar, mi, force = unit.hbar, params.mass.m_inertial, params.force
     t, z = np.asarray(t, float), np.asarray(z, float)
@@ -249,164 +156,6 @@ def _finite(what: str, values: np.ndarray) -> np.ndarray:
         raise ConfigurationError(f"the closed-form {what} overflows; reduce "
                                  "the drop height or the run length")
     return values
-
-
-def default_timestep(t_total: float) -> float:
-    """Default dt: the total evolution time divided into 4096 steps."""
-    if t_total <= 0:
-        raise PreconditionError("total time must be positive")
-    return t_total / 4096
-
-
-def split_step_evolve(initial: GridField, params: LinearPotentialParams,
-                      dt: float, n_steps: int, *, probe_z: float | None = None,
-                      unit: UnitSystem = DEFAULT_UNITS,
-                      record_stride: int = 1) -> EvolutionResult:
-    """Strang-split spectral evolution: half kick, full drift, half kick.
-
-    One run of n_steps steps of dt from `initial`, probing the current at
-    `probe_z` (None: no probe).
-
-    Adjacent half kicks merge: the loop carries chi = exp(+i F z dt / 2
-    hbar) psi, and each step is one full kick, a transform, the kinetic
-    phase and the inverse transform; the last half kick is applied only to
-    the returned final field. Every factor is a pure phase, so the norm is
-    conserved to roundoff.
-
-    The norm, <z> and the probe current are recorded every `record_stride`
-    steps from chi and the spectrum the step already holds, with no
-    transform; psi is chi boosted by -F dt / 2, which adds
-    -(F dt / 2 m) |chi(z_d)|^2 to the current. The full moment sets, whose
-    cov_zp costs an inverse transform, are taken at step 0 and at the last
-    step, with <p> shifted by the same boost. Negative dt runs the inverse
-    evolution, used for reversibility checks.
-
-    Raises :class:`PreconditionError` if the initial field is not unit-norm
-    (to 1e-6), :class:`ConfigurationError` if the probe is off the grid or
-    the grid cannot represent the momentum the run acquires (from the
-    initial <p> and var_p) with a factor ``NYQUIST_MARGIN`` to spare (the
-    factor it has is the result's ``nyquist_headroom``), and
-    :class:`BoundaryBreachError` (with the step) if probability reaches the
-    domain edges mid-run.
-    """
-    if dt == 0:
-        raise PreconditionError("dt must be nonzero")
-    if n_steps < 0:
-        raise PreconditionError("n_steps must be nonnegative")
-    if record_stride < 1:
-        raise PreconditionError("record_stride must be >= 1")
-    if abs((nval := norm(initial)) - 1.0) > 1e-6:
-        raise PreconditionError(f"field norm is {nval!r}, expected 1")
-    hbar, grid, force = unit.hbar, initial.grid, params.force
-    z, dz, mi = grid.points, grid.spacing, params.mass.m_inertial
-    half_kick = np.exp(-1j * force * z * dt / (2.0 * hbar))
-    kick = np.exp(-1j * force * z * dt / hbar)
-    kinetic = np.exp(-1j * hbar * grid.wavenumbers**2 * dt / (2.0 * mi))
-    p_shift = -0.5 * force * dt
-    edges = np.r_[:BOUNDARY_CELLS, -BOUNDARY_CELLS:0]
-
-    chi = initial.amplitudes / half_kick
-    spectrum = np.fft.fft(chi)
-    initial_moments = spectral_moments(chi, spectrum, grid, hbar, p_shift)
-    p_reach = (abs(initial_moments.mean_p) + force * abs(dt) * n_steps
-               + 5.0 * math.sqrt(initial_moments.var_p))
-    headroom = hbar * grid.k_max / p_reach
-    if headroom < NYQUIST_MARGIN:
-        raise ConfigurationError(
-            f"grid resolves momenta up to {hbar * grid.k_max:.4g} but the "
-            f"run acquires {p_reach:.4g} (margin {NYQUIST_MARGIN}); "
-            "refine the grid")
-    if probe_z is not None and not (grid.z_min <= probe_z < grid.z_max):
-        raise ConfigurationError(f"probe at {probe_z} outside the domain")
-    weights = None if probe_z is None else probe_weights(grid, probe_z)
-
-    n_records = n_steps // record_stride + 1 + (n_steps % record_stride > 0)
-    norms, mean_z, currents = np.empty((3, n_records))
-    recorded = []
-    z_chi = np.empty_like(chi)
-
-    def record(step: int):
-        # the same quadratures as spectral_moments, without its transform
-        i = len(recorded)
-        recorded.append(step)
-        np.multiply(z, chi, out=z_chi)
-        norms[i] = math.sqrt(float(np.vdot(chi, chi).real) * dz)
-        mean_z[i] = float(np.vdot(chi, z_chi).real) * dz
-        if weights is not None:
-            currents[i] = probe_current(weights, spectrum, hbar, mi, p_shift)
-
-    record(0)
-    for step in range(1, n_steps + 1):
-        chi *= kick
-        np.fft.fft(chi, out=spectrum)
-        spectrum *= kinetic
-        np.fft.ifft(spectrum, out=chi)
-        edge = chi.take(edges)
-        if (edge_prob := float(np.vdot(edge, edge).real) * dz) > BOUNDARY_TOL:
-            raise BoundaryBreachError(
-                f"probability {edge_prob:.3e} reached the domain edge", step)
-        if step % record_stride == 0 or step == n_steps:
-            record(step)
-
-    return EvolutionResult(
-        times=np.array(recorded) * dt, mean_z=mean_z, norms=norms,
-        initial_moments=initial_moments,
-        final_moments=spectral_moments(chi, spectrum, grid, hbar, p_shift),
-        final_field=GridField(grid, half_kick * chi), params=params, dt=dt,
-        nyquist_headroom=headroom, probe_z=probe_z,
-        probe_current=None if weights is None else currents)
-
-
-def probe_weights(grid: SpatialGrid, z: float) -> np.ndarray:
-    """Rows giving the band-limited (psi(z), psi'(z)) = weights @ psi_k."""
-    k = grid.wavenumbers
-    phase = np.exp(1j * k * (z - grid.z_min)) / grid.n_points
-    return np.stack((phase, 1j * k * phase))
-
-
-def probe_current(weights: np.ndarray, psi_k: np.ndarray, hbar: float,
-                  mass: float, p_shift: float = 0.0) -> float:
-    """Current (hbar Im(psi* psi') + p_shift |psi|^2) / mass of the boosted
-    field exp(i p_shift z / hbar) psi at the probe of `weights`."""
-    val, dval = (weights @ psi_k).tolist()
-    return (hbar * (val.conjugate() * dval).imag + p_shift * abs(val) ** 2) / mass
-
-
-def refine_timestep(spec: WavepacketSpec, params: LinearPotentialParams,
-                    t_total: float, grid: SpatialGrid,
-                    unit: UnitSystem = DEFAULT_UNITS, dt0: float | None = None,
-                    target_error: float = 1e-8) -> dict:
-    """Halve dt, at most 8 times, until the order-check ratio stabilizes in
-    [3.5, 4.5] and the split-step error against the exact propagator drops
-    below `target_error`.
-
-    Returns a dict with the refined ``dt``, the per-level L2 ``errors``
-    against :func:`exact_wavefunction`, and the halving ``ratios`` (each
-    should sit near 4 for a second-order scheme).
-    """
-    reference = exact_wavefunction(spec, params, t_total, grid, unit)
-    field0 = build_wavefunction(spec, grid)
-    dt = default_timestep(t_total) if dt0 is None else dt0
-    n = max(1, round(t_total / dt))
-    dt = t_total / n
-
-    def l2_error(dt_k, n_k):
-        run = split_step_evolve(field0, params, dt_k, n_k,
-                                unit=unit, record_stride=n_k)
-        diff = run.final_field.amplitudes - reference.amplitudes
-        return float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.spacing))
-
-    errors = [l2_error(dt, n)]
-    ratios: list[float] = []
-    for _ in range(8):
-        stable = ratios and 3.5 <= ratios[-1] <= 4.5
-        if errors[-1] <= target_error and (stable or errors[-1] < 1e-12):
-            break
-        dt /= 2.0
-        n *= 2
-        errors.append(l2_error(dt, n))
-        ratios.append(errors[-2] / errors[-1])
-    return {"dt": dt, "n_steps": n, "errors": errors, "ratios": ratios}
 
 
 def dump_snapshots(snapshots, directory, fmt: str = "csv"):

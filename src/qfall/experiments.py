@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .core import (DEFAULT_UNITS, MassPair, SpatialGrid, UnitSystem,
-                   _check_scale, fft_size, make_grid)
+from .core import DEFAULT_UNITS, MassPair, UnitSystem, _check_scale
 from .errors import ConfigurationError, PreconditionError
 from .evolve import (
     ACCELERATED_FRAME,
@@ -39,6 +38,7 @@ from .evolve import (
 from .prepare import check_matched, match_second_particle
 from .states import (
     CAT,
+    MomentSet,
     WavepacketSpec,
     analytic_moments,
     mixture_moments,
@@ -63,7 +63,6 @@ __all__ = [
     "SweepSettings",
     "ExperimentConfig",
     "ExperimentReport",
-    "plan_domain",
     "fit_power_law",
     "run_galileo_pair",
     "run_equivalence_test",
@@ -86,8 +85,6 @@ class Particle:
     mass: MassPair
 
 
-# The fewest points of a grid that plan_domain plans.
-MIN_GRID_POINTS = 1024
 # The most points of one snapshot window.
 MAX_SNAPSHOT_POINTS = 2**16
 
@@ -205,48 +202,20 @@ def fit_power_law(x, y) -> tuple[float, float, float]:
     return slope, stderr, intercept
 
 
-def _margins(spec: WavepacketSpec, sigma_z: float, p_abs: float,
-             sigma_p: float, unit: UnitSystem) -> tuple[float, float]:
-    """(pad, spacing) around a packet of spread `sigma_z`: 9 sigma_z + delta
-    + 8 delta0, and at most delta0 / 3 and pi hbar / 2.5 (|p| + 6 sigma_p)."""
+def _momentum_reach(m: MomentSet, force_t: float) -> float:
+    """The largest momentum a packet with moments `m` holds while a force
+    adds -`force_t` to its mean: max(|<p>|, |<p> - F t|) + 6 sigma_p."""
+    return (max(abs(m.mean_p), abs(m.mean_p - force_t))
+            + 6.0 * math.sqrt(m.var_p))
+
+
+def _margins(spec: WavepacketSpec, sigma_z: float, p_reach: float,
+             unit: UnitSystem) -> tuple[float, float]:
+    """(pad, spacing) around a packet of spread `sigma_z` and
+    `_momentum_reach` `p_reach`: 9 sigma_z + delta + 8 delta0, and at most
+    delta0 / 3 and pi hbar / (2.5 p_reach)."""
     return (9.0 * sigma_z + spec.delta + 8.0 * spec.delta0,
-            min(np.pi * unit.hbar / (2.5 * (p_abs + 6.0 * sigma_p)),
-                spec.delta0 / 3.0))
-
-
-def plan_domain(entries, z_detector: float, t_final: float,
-                unit: UnitSystem = DEFAULT_UNITS,
-                max_points: int = 2**16) -> SpatialGrid:
-    """Size the periodic domain for the one (spec, params) drop of `entries`.
-
-    The grid must hold the fallen packet with its spread tails, the
-    detector plane, and (for the exact propagator's intermediate) the
-    packet spreading in place without falling, for the split-step oracle.
-    Pad and spacing are `_margins` at the widest spread and the largest
-    momentum; the size is the smallest `fft_size`, at least 1,024."""
-    [(spec, params)] = entries
-    m0 = analytic_moments(spec, unit)
-    v0 = m0.mean_p / params.mass.m_inertial
-    sigma = max(math.sqrt(m0.var_z),
-                math.sqrt(moment_evolution(m0, params, t_final).var_z))
-    pad, spacing = _margins(
-        spec, sigma, max(abs(m0.mean_p), abs(m0.mean_p - params.force * t_final)),
-        math.sqrt(m0.var_p), unit)
-    free_top = max(m0.mean_z, m0.mean_z + v0 * t_final)
-    fall = [m0.mean_z,
-            m0.mean_z + v0 * t_final - 0.5 * params.g_eff * t_final**2]
-    if params.g_eff > 0 and 0 < v0 / params.g_eff < t_final:
-        fall.append(m0.mean_z + 0.5 * v0 * (v0 / params.g_eff))
-    z_top = max(free_top, max(fall)) + pad
-    z_bot = min(min(fall), z_detector) - pad
-    need = (z_top - z_bot) / spacing  # inf or nan if a scale overflowed
-    n = (max(fft_size(need), MIN_GRID_POINTS) if need <= max_points
-         else need)
-    if not n <= max_points:
-        raise ConfigurationError(
-            f"run needs {n:.6g} grid points, above max_points = {max_points}; "
-            "reduce the drop height or pass a larger max_points")
-    return make_grid(z_bot, z_top, n)
+            min(np.pi * unit.hbar / (2.5 * p_reach), spec.delta0 / 3.0))
 
 
 # A planned drop: its run name and record label, state and parameters,
@@ -356,8 +325,8 @@ class _RunLog:
         m0, windows = analytic_moments(spec, unit), []
         for t in [step * drop.dt for step in range(0, n + 1, stride)]:
             m = moment_evolution(m0, params, t)
-            pad, dz = _margins(spec, math.sqrt(m.var_z), abs(m.mean_p),
-                               math.sqrt(m.var_p), unit)
+            pad, dz = _margins(spec, math.sqrt(m.var_z),
+                               _momentum_reach(m, 0.0), unit)
             with np.errstate(all="ignore"):  # inf or nan if a scale overflowed
                 half = np.ceil(np.divide(pad, dz))
             if not 2 * half + 1 <= MAX_SNAPSHOT_POINTS:

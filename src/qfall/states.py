@@ -6,10 +6,10 @@ A cat state is the normalized superposition
                + c- exp(-(z - z0 - D)^2 / 2 D0^2) },
 
 two Gaussian peaks of width D0 centered at z0 -+ D. D = 0 with c- = 0
-recovers a plain Gaussian packet. Moments come in two independent
-flavors: closed forms from Gaussian integrals (`analytic_moments`) and
-grid quadrature with spectral momentum moments (`numeric_moments`); the
-two must agree and each serves as the oracle for the other.
+recovers a plain Gaussian packet. Its moments come in closed form from
+Gaussian integrals (`analytic_moments`); the oracle in
+:mod:`qfall.validate` samples the packet on a grid and checks them by
+quadrature.
 
 Removing the interference (off-diagonal) part of the density matrix
 turns the cat into a classical statistical mixture of its two branches;
@@ -22,26 +22,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import (DEFAULT_UNITS, GridField, SpatialGrid, UnitSystem,
-                   _check_scale)
-from .errors import (
-    ConfigurationError,
-    DegenerateStateError,
-    DomainError,
-    PreconditionError,
-)
+from .core import DEFAULT_UNITS, UnitSystem, _check_scale
+from .errors import ConfigurationError, DegenerateStateError, PreconditionError
 
 __all__ = [
     "GAUSSIAN",
     "CAT",
     "WavepacketSpec",
     "MomentSet",
-    "build_wavefunction",
     "normalization_constant",
     "analytic_moments",
-    "numeric_moments",
     "mixture_moments",
 ]
 
@@ -199,32 +189,6 @@ def normalization_constant(spec: WavepacketSpec) -> float:
     return 1.0 / math.sqrt(math.sqrt(math.pi) * spec.delta0 * denom)
 
 
-def build_wavefunction(spec: WavepacketSpec, grid: SpatialGrid) -> GridField:
-    """Sample the normalized one- or two-peak packet on `grid`.
-
-    Requires both peaks +- 8 delta0 inside the domain and a grid fine
-    enough (spacing <= delta0 / 2.5) that the spectral tail beyond the
-    Nyquist wavenumber is negligible; otherwise the unit-norm contract
-    cannot hold.
-    """
-    lo, hi = spec.peak_centers()
-    margin = 8.0 * spec.delta0
-    if lo - margin < grid.z_min or hi + margin > grid.z_max:
-        raise DomainError(
-            f"peaks at {lo}, {hi} need +-{margin} clearance inside "
-            f"[{grid.z_min}, {grid.z_max}]")
-    if grid.spacing > spec.delta0 / 2.5:
-        raise ConfigurationError(
-            f"grid spacing {grid.spacing:.4g} too coarse for peak width "
-            f"{spec.delta0:.4g}; need spacing <= delta0/2.5")
-    z = grid.points
-    nconst = normalization_constant(spec)
-    psi = spec.c_plus * np.exp(-((z - lo) ** 2) / (2.0 * spec.delta0**2))
-    if spec.kind == CAT:
-        psi = psi + spec.c_minus * np.exp(-((z - hi) ** 2) / (2.0 * spec.delta0**2))
-    return GridField(grid, nconst * psi)
-
-
 def analytic_moments(spec: WavepacketSpec,
                      unit: UnitSystem = DEFAULT_UNITS) -> MomentSet:
     """Closed-form moments from Gaussian integrals.
@@ -253,41 +217,6 @@ def analytic_moments(spec: WavepacketSpec,
     var_p = p2 - mean_p**2
     cov_zp = (d * (p - m) / q) * mean_p
     return MomentSet(mean_z, mean_p, var_z, var_p, cov_zp)
-
-
-def numeric_moments(field: GridField,
-                    unit: UnitSystem = DEFAULT_UNITS) -> MomentSet:
-    """Moments by grid quadrature, momentum side through the spectrum
-    (see :func:`spectral_moments`). The field must be unit-norm."""
-    from .core import norm as _norm  # local import to avoid shadowing
-
-    nval = _norm(field)
-    if abs(nval - 1.0) > 1e-6:
-        raise PreconditionError(f"field norm is {nval!r}, expected 1")
-    psi = field.amplitudes
-    return spectral_moments(psi, np.fft.fft(psi), field.grid, unit.hbar)
-
-
-def spectral_moments(psi: np.ndarray, psi_k: np.ndarray, grid: SpatialGrid,
-                     hbar: float, p_shift: float = 0.0) -> MomentSet:
-    """Moments of exp(i p_shift z / hbar) psi from the samples `psi` (unit
-    norm) and their spectrum `psi_k`: rectangle rule in z, |psi_k|^2
-    weights in p, spectral derivative for the covariance. The boost only
-    moves <p>; |psi|^2, var_p and cov_zp are invariant."""
-    z, k, dz = grid.points, grid.wavenumbers, grid.spacing
-    z_psi = z * psi
-    total = float(np.vdot(psi, psi).real) * dz
-    mean_z = float(np.vdot(psi, z_psi).real) * dz
-    var_z = float(np.vdot(z_psi, z_psi).real) * dz - mean_z**2 * (2.0 - total)
-    k_psi = k * psi_k
-    weight = float(np.vdot(psi_k, psi_k).real)
-    mean_k = float(np.vdot(psi_k, k_psi).real) / weight
-    var_p = hbar**2 * (float(np.vdot(k_psi, k_psi).real) / weight - mean_k**2)
-    # psi' = i ifft(k psi_k), so Re <z p> = hbar Re sum conj(z psi) ifft(k psi_k)
-    zp_sym = hbar * float(np.vdot(z_psi, np.fft.ifft(k_psi)).real) * dz
-    mean_p = hbar * mean_k
-    return MomentSet(mean_z, mean_p + p_shift, var_z, var_p,
-                     zp_sym - mean_z * mean_p)
 
 
 def mixture_moments(spec: WavepacketSpec,

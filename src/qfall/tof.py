@@ -8,11 +8,15 @@ Three estimators with increasing quantum content:
   `crossing_spread`, shared with the arrival window) and its
   spreading-dominated limit (sqrt(2)/2) eps hbar / (delta0 m_g g), where
   the state enters only through the factor eps = sigma_p / sigma_p(Gaussian);
-* `current_tof_distribution` - the operational arrival-time density built
-  from the probability current through the detector plane. A quantum
+* `distribution_from_current` - the operational arrival-time density
+  built from samples of the probability current through the detector
+  plane, such as the closed-form `evolve.arrival_current`. A quantum
   arrival time has no agreed-upon definition; the current-based density
   with negative-part clipping is a minimal choice, and the clipped
   backflow weight is reported rather than hidden.
+
+Every estimator here works on closed forms or current samples; the ones
+that read a split-step run live with the solver in :mod:`qfall.validate`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     NoCrossingError,
     PreconditionError,
 )
-from .evolve import EvolutionResult, LinearPotentialParams, moment_evolution
+from .evolve import LinearPotentialParams, moment_evolution
 from .states import MomentSet, WavepacketSpec, analytic_moments
 
 __all__ = [
@@ -37,11 +41,9 @@ __all__ = [
     "ehrenfest_tof",
     "crossing_time_from_moments",
     "crossing_spread",
-    "mean_crossing_time",
     "epsilon_factor",
     "asymptotic_sigma_tof",
     "semiclassical_sigma_tof",
-    "current_tof_distribution",
     "distribution_from_current",
     "distribution_distance",
 ]
@@ -162,31 +164,6 @@ def ehrenfest_tof(spec: WavepacketSpec, params: LinearPotentialParams,
                                       z_detector)
 
 
-def mean_crossing_time(result: EvolutionResult, z_detector: float) -> float:
-    """Detector-crossing time of the recorded mean trajectory.
-
-    Uses quadratic interpolation through the three records bracketing the
-    first sign change; exact for a uniform force, where the mean is a
-    parabola in time.
-    """
-    t = np.asarray(result.times)
-    offset = result.mean_z - z_detector
-    below = np.nonzero(offset <= 0.0)[0]
-    if len(below) == 0 or below[0] == 0:
-        raise NoCrossingError("recorded mean trajectory never crosses the "
-                              "detector plane")
-    j = below[0]
-    lo = min(max(0, j - 2), len(t) - 3)
-    sel = slice(lo, lo + 3)
-    coeff = np.polyfit(t[sel], offset[sel], 2)
-    roots = [r.real for r in np.roots(coeff)
-             if abs(r.imag) < 1e-12 and t[j - 1] - 1e-12 <= r.real <= t[j] + 1e-12]
-    if not roots:  # fall back to the linear bracket
-        return float(t[j - 1] - offset[j - 1] * (t[j] - t[j - 1])
-                     / (offset[j] - offset[j - 1]))
-    return float(min(roots))
-
-
 def epsilon_factor(spec: WavepacketSpec,
                    unit: UnitSystem = DEFAULT_UNITS) -> float:
     """Momentum-spread ratio against the width-matched Gaussian.
@@ -276,30 +253,6 @@ def distribution_from_current(times: np.ndarray, current: np.ndarray,
         window=(float(used[0]), float(used[1])),
         clipped_negativity=clipped, capture_fraction=captured,
         low_capture_warning=captured < CAPTURE_THRESHOLD)
-
-
-def current_tof_distribution(result: EvolutionResult,
-                             params: LinearPotentialParams, z_detector: float,
-                             window_sigmas: float = WINDOW_SIGMAS,
-                             ) -> TofDistribution:
-    """Arrival-time density from the probability current at the detector.
-
-    The window is auto-selected as the predicted mean crossing of the
-    recorded initial moments plus/minus ``window_sigmas`` predicted
-    spreads (clipped at t = 0; release happens at t = 0 so no flux exists
-    earlier). The run must carry the current from a per-step probe at the
-    detector (`split_step_evolve(..., probe_z=z_detector)`).
-    """
-    if result.probe_current is None:
-        raise PreconditionError(
-            "run carries no detector probe; rerun with probe_z")
-    dz = result.final_field.grid.spacing
-    if abs(result.probe_z - z_detector) > 0.5 * dz:
-        raise PreconditionError(
-            f"run probed the current at {result.probe_z}, not at {z_detector}")
-    crossing = crossing_spread(result.initial_moments, params, z_detector)
-    return distribution_from_current(result.times, result.probe_current,
-                                     *_arrival_windows([crossing], window_sigmas))
 
 
 def _arrival_windows(crossings, window_sigmas: float) -> tuple:

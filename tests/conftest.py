@@ -7,7 +7,7 @@ from qfall import (
     WavepacketSpec,
     make_grid,
 )
-from qfall.core import fft_size
+from qfall.validate import fft_size, random_cat
 
 EPS_RATIO = (np.e - 1.0) / (np.e + 1.0)  # epsilon^2 of the even cat at delta = delta0
 
@@ -40,19 +40,6 @@ def yurke_stoler():
 @pytest.fixture
 def unit_mass():
     return MassPair(1.0, 1.0)
-
-
-def random_cat(rng, z0_range=(-2.0, 2.0)) -> WavepacketSpec:
-    """Valid random cat spec for property-style loops (seeded by caller)."""
-    z0 = rng.uniform(*z0_range)
-    delta0 = rng.uniform(0.6, 1.6)
-    delta = rng.uniform(0.3, 2.5) * delta0
-    mods = rng.uniform(0.3, 1.0, size=2)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    return WavepacketSpec.cat(
-        z0, delta, delta0,
-        mods[0] * np.exp(1j * phases[0]),
-        mods[1] * np.exp(1j * phases[1]))
 
 
 def largest_prime_factor(n: int) -> int:

@@ -1,11 +1,18 @@
 import argparse
+import ast
+import contextlib
+import importlib
+import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfall
 from qfall import ParseError, parse_config, parse_config_text
@@ -271,6 +278,49 @@ def test_main_extreme_finite_values_exit_2(tmp_path, capsys, extra, command):
     assert not (tmp_path / "out").exists()
 
 
+EXTREMES = {param.id: param.values[0] for param in EXTREME_CONFIGS}
+
+
+def merged_extremes(ids) -> str:
+    """The config text of the EXTREME_CONFIGS changes `ids` together, each
+    section once with the keys of every change (a later value wins)."""
+    sections = {}
+    for text in map(EXTREMES.get, ids):
+        for line in text.splitlines():
+            if line.startswith("["):
+                keys = sections.setdefault(line, {})
+            else:
+                key, value = line.split(" = ")
+                keys[key] = value
+    return "\n".join(header + "".join(f"\n{key} = {value}"
+                                      for key, value in keys.items())
+                     for header, keys in sections.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=st.lists(st.sampled_from(sorted(EXTREMES)), min_size=2,
+                    max_size=3, unique=True),
+       command=st.sampled_from(("drop", "ep-test", "decohere")))
+def test_several_extreme_keys_exit_0_or_2(tmp_path_factory, ids, command):
+    """Two or three of the extreme one-key changes at once: each runner
+    exits 0, or exits 2 with one ConfigurationError or ParseError record
+    and no output directory."""
+    work = tmp_path_factory.mktemp("extremes")
+    config_path = work / "extreme.ini"
+    config_path.write_text(short_default(merged_extremes(ids)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(config_path), "--out",
+                     str(work / "out")])
+    if code == 0:
+        return
+    assert code == 2
+    assert json.loads(err.getvalue())["error"] in ("ConfigurationError",
+                                                   "ParseError")
+    assert not (work / "out").exists()
+
+
 def test_main_record_stride_above_the_record_exits_2(tmp_path, capsys):
     # too few record times is a config error, not a solver error (exit 3)
     config_path = tmp_path / "stride.ini"
@@ -413,3 +463,58 @@ def test_importing_the_cli_builds_no_parser():
                             capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=src))
     assert result.stdout == "0\n"
+
+
+# --- package layout ------------------------------------------------------------
+
+SRC = Path(qfall.__file__).resolve().parent
+
+
+def test_every_public_name_resolves():
+    """Each name in the `__all__` of each qfall module exists (the
+    benchmark's tracer reads them with getattr), and each name the
+    acceptance suite imports from `qfall` is an attribute of `qfall`."""
+    for info in pkgutil.iter_modules([str(SRC)]):
+        module = importlib.import_module(f"qfall.{info.name}")
+        assert [name for name in getattr(module, "__all__", ())
+                if not hasattr(module, name)] == [], info.name
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "qfall"
+                for alias in node.names]
+    assert imported
+    assert [name for name in imported if not hasattr(qfall, name)] == []
+
+
+def qfall_imports(path: Path) -> set:
+    """The qfall modules that the source file `path` imports anywhere in it,
+    by `from .x import` or `from . import x`."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= ({node.module.split(".")[0]} if node.module
+                      else {alias.name for alias in node.names})
+    return found
+
+
+def test_the_closed_forms_never_import_the_oracle():
+    """The import closure of the closed-form modules, read from their source
+    (``qfall/__init__`` re-exports the oracle, so importing would not
+    tell), excludes `validate`; and the FFT and the grid class appear in
+    `validate` alone (``__init__`` only re-exports the class)."""
+    imports = {path.stem: qfall_imports(path) for path in SRC.glob("*.py")}
+    closure, todo = set(), ["core", "states", "prepare", "evolve", "tof",
+                            "experiments", "config"]
+    while todo:
+        if (name := todo.pop()) not in closure:
+            closure.add(name)
+            todo += imports[name]
+    assert "validate" not in closure and "errors" in closure
+    for path in SRC.glob("*.py"):
+        text = path.read_text()
+        assert "from qfall" not in text and "import qfall" not in text
+        if path.name != "validate.py":
+            assert "np.fft" not in text and "numpy.fft" not in text, path.name
+        if path.name not in ("validate.py", "__init__.py"):
+            assert "SpatialGrid" not in text, path.name
+    assert qfall.SpatialGrid is qfall.validate.SpatialGrid

@@ -14,7 +14,7 @@ from qfall import (
     make_grid,
     norm,
 )
-from qfall.core import fft_size
+from qfall.validate import fft_size
 from conftest import largest_prime_factor
 
 

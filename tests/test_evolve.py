@@ -33,8 +33,8 @@ from qfall import (
     split_step_evolve,
 )
 
-from qfall import evolve
-from qfall.evolve import probe_current, probe_weights
+from qfall import validate
+from qfall.validate import probe_current, probe_weights
 
 from conftest import grid_for, padded, random_cat
 
@@ -249,12 +249,32 @@ def test_nyquist_headroom_is_the_guarded_quantity(monkeypatch):
     field0 = build_wavefunction(spec, make_grid(-20.0, 20.0, 1024))
     headroom = split_step_evolve(field0, params_g(), 0.01, 100,
                                  record_stride=100).nyquist_headroom
-    assert headroom > evolve.NYQUIST_MARGIN
-    monkeypatch.setattr(evolve, "NYQUIST_MARGIN", headroom)
+    assert headroom > validate.NYQUIST_MARGIN
+    monkeypatch.setattr(validate, "NYQUIST_MARGIN", headroom)
     split_step_evolve(field0, params_g(), 0.01, 100, record_stride=100)
-    monkeypatch.setattr(evolve, "NYQUIST_MARGIN", headroom * (1.0 + 1e-12))
+    monkeypatch.setattr(validate, "NYQUIST_MARGIN", headroom * (1.0 + 1e-12))
     with pytest.raises(ConfigurationError, match="margin"):
         split_step_evolve(field0, params_g(), 0.01, 100, record_stride=100)
+
+
+def test_peak_edge_probability_is_the_guarded_quantity():
+    """A run reports the largest edge probability its guard saw: the same
+    drop reaches the edges of a tight grid more than those of a wide one,
+    both within the guard's tolerance; and a packet falling away from the
+    top edge keeps its early peak, far above its final edge probability."""
+    spec = WavepacketSpec.gaussian(0.0, 1.0)
+    tight, wide = (split_step_evolve(
+        build_wavefunction(spec, make_grid(-half, half, 1024)), params_g(),
+        0.01, 200, record_stride=200).peak_edge_probability
+        for half in (14.0, 25.0))
+    assert 0.0 < wide < tight <= validate.BOUNDARY_TOL
+    field0 = build_wavefunction(WavepacketSpec.gaussian(6.0, 1.0),
+                                make_grid(-20.0, 14.0, 1024))
+    half, full = (split_step_evolve(field0, params_g(4.0, 4.0), 0.01, n,
+                                    record_stride=n) for n in (100, 200))
+    assert half.peak_edge_probability == full.peak_edge_probability
+    assert full.peak_edge_probability > 100.0 * validate.boundary_probability(
+        full.final_field)
 
 
 def test_default_timestep():
@@ -457,21 +477,27 @@ def test_arrival_current_matches_the_split_step_probe(seed, mass, mode):
     sorted(STATE_FAMILIES)), mass=st.floats(0.5, 16.0),
     fraction=st.floats(0.0, 1.0),
     mode=st.sampled_from((GRAVITY, ACCELERATED_FRAME)))
+@example(seed=6993, kind="yurke_stoler", mass=0.5, fraction=1.0, mode=GRAVITY)
 def test_closed_form_field_matches_the_exact_propagator(seed, kind, mass,
                                                         fraction, mode):
     """Each state kind, of mass 0.5 to 16 and released from z0 in [1, 4] over
     a detector at 0, at any t of its drop's run: the closed-form field equals
-    `exact_wavefunction` to 1e-12 on the planned domain padded by 60 on each
-    side, where the periodic oracle has converged (on the planned domain
-    alone a light cat's oracle wraps by up to 3.4e-7)."""
+    `exact_wavefunction` to 1e-12 on the planned domain (above the default
+    2^16 points for some long drops) padded by 60 plus 5 sigma_z(t_final) on
+    each side, where the periodic oracle has converged (on the planned
+    domain alone a light cat's oracle wraps by up to 3.4e-7; padded by 60
+    alone, the pinned wide light cat's still wraps by 6.4e-10)."""
     rng = np.random.default_rng(seed)
     delta0 = rng.uniform(0.6, 1.6)
     spec = STATE_FAMILIES[kind](rng.uniform(1.0, 4.0),
                                 rng.uniform(0.3, 2.5) * delta0, delta0)
     params = LinearPotentialParams(MassPair(mass, mass), 1.0, mode)
-    t_cross, sigma = crossing_spread(analytic_moments(spec), params, 0.0)
+    m0 = analytic_moments(spec)
+    t_cross, sigma = crossing_spread(m0, params, 0.0)
     t_final = t_cross + 1.08 * 8.0 * sigma
-    grid = padded(plan_domain([(spec, params)], 0.0, t_final), 60.0)
+    sigma_z = math.sqrt(moment_evolution(m0, params, t_final).var_z)
+    grid = padded(plan_domain([(spec, params)], 0.0, t_final,
+                              max_points=2**18), 60.0 + 5.0 * sigma_z)
     t = fraction * t_final
     exact = exact_wavefunction(spec, params, t, grid).amplitudes
     field = closed_form_field(spec, params, t, grid.points)

@@ -43,8 +43,8 @@ from qfall import (
     semiclassical_sigma_tof,
     split_step_evolve,
 )
-from qfall import evolve, experiments, tof
-from qfall.evolve import probe_weights
+from qfall import evolve, experiments, tof, validate
+from qfall.validate import probe_weights
 from conftest import (EPS_RATIO, EXTREME_CONFIGS, largest_prime_factor,
                       padded, short_default)
 
@@ -611,7 +611,7 @@ def test_each_drop_is_one_closed_form_call(monkeypatch):
         pytest.fail("an experiment ran the split-step solver")
 
     monkeypatch.setattr(experiments, "arrival_current", counted)
-    monkeypatch.setattr(evolve, "split_step_evolve", solver)
+    monkeypatch.setattr(validate, "split_step_evolve", solver)
     assert not hasattr(experiments, "split_step_evolve")
     cat = Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(1, 1))
     run_decoherence_comparison(config_for([cat]))
@@ -693,8 +693,8 @@ def test_snapshots_are_the_exact_fields(tmp_path, fmt):
     for t, z, psi in snapshots:
         m = moment_evolution(m0, params, t)
         pad, dz = experiments._margins(
-            particle.spec, math.sqrt(m.var_z), abs(m.mean_p),
-            math.sqrt(m.var_p), DEFAULT_UNITS)
+            particle.spec, math.sqrt(m.var_z),
+            experiments._momentum_reach(m, 0.0), DEFAULT_UNITS)
         half = math.ceil(pad / dz)
         assert np.array_equal(z, m.mean_z + dz * np.arange(-half, half + 1))
         assert np.array_equal(psi, closed_form_field(particle.spec, params,
@@ -764,7 +764,7 @@ def test_experiments_plan_no_fft_grid(monkeypatch, tmp_path):
         pytest.fail("an experiment used an FFT grid")
 
     for owner, name in ((np.fft, "fft"), (np.fft, "ifft"),
-                        (experiments, "plan_domain")):
+                        (validate, "plan_domain")):
         monkeypatch.setattr(owner, name, refuse)
     cat = Particle(WavepacketSpec.male_cat(2.0, 1.0, 1.0), MassPair(1, 1))
     solver = SolverSettings(time_steps=1024, snapshot_stride=512)
