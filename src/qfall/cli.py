@@ -127,8 +127,7 @@ def main(argv=None) -> int:
         report = _COMMANDS[args.command](config)
         # Invocation provenance on top of the experiment's own manifest.
         report.manifest.update(
-            digest=report.digest, command=args.command,
-            units=report.manifest["config"]["units"],
+            command=args.command, units=report.manifest["config"]["units"],
             solver=report.manifest["config"]["solver"])
         paths = report.write(config.output_dir)
     except InfeasibleTargetError as exc:

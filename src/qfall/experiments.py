@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import shutil
-from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -218,24 +217,6 @@ def _margins(spec: WavepacketSpec, sigma_z: float, p_reach: float,
             min(np.pi * unit.hbar / (2.5 * p_reach), spec.delta0 / 3.0))
 
 
-# A planned drop: its run name and record label, state and parameters,
-# closed-form crossing (t_cross, sigma) and time step.
-_Drop = namedtuple("_Drop", "name label spec params crossing dt")
-
-
-def _plan(entries, config: ExperimentConfig) -> list[_Drop]:
-    """Plan (label, spec, params) drops named `<label>_<mode>` on one clock.
-    Each crossing is taken once; the run lasts until the latest upper
-    window edge, with slack."""
-    crossings = [crossing_spread(analytic_moments(spec, config.unit), params,
-                                 config.z_detector) for _, spec, params in entries]
-    t_final = max(t + 1.08 * config.solver.window_sigmas * sigma
-                  for t, sigma in crossings)
-    return [_Drop(f"{label}_{params.mode}", label, spec, params, crossing,
-                  t_final / config.solver.time_steps)
-            for (label, spec, params), crossing in zip(entries, crossings)]
-
-
 def _record_steps(n: int, stride: int) -> np.ndarray:
     """The record steps of an `n`-step run: 0, `stride`, 2 `stride`, ... and
     the last step `n`."""
@@ -243,57 +224,70 @@ def _record_steps(n: int, stride: int) -> np.ndarray:
     return steps if steps[-1] == n else np.append(steps, n)
 
 
-def _solve(drops: list[_Drop], config: ExperimentConfig, log: _RunLog) -> list:
-    """The `(drop, times, current)` of each of `drops`, in order: the
-    closed-form detector current at the record times k dt, for k = 0,
-    `record_stride`, ... and the last step. Each drop is logged to `log`."""
-    steps = _record_steps(config.solver.time_steps,
-                          config.solver.record_stride)
+def _solve(entries, config: ExperimentConfig, manifest: dict) -> tuple:
+    """`(dt, times, [(crossing, current)])` of the (name, spec, params)
+    `entries` on one clock: each closed-form crossing (t_cross, sigma) and
+    detector current at the record times k dt, for k = 0, `record_stride`,
+    ... and the last step. The run lasts until the latest upper window edge,
+    with slack. Each entry's snapshots are logged to `manifest`."""
+    crossings = [crossing_spread(analytic_moments(spec, config.unit), params,
+                                 config.z_detector) for _, spec, params in entries]
+    dt = max(t + 1.08 * config.solver.window_sigmas * sigma
+             for t, sigma in crossings) / config.solver.time_steps
+    times = _record_steps(config.solver.time_steps,
+                          config.solver.record_stride) * dt
     solved = []
-    for drop in drops:
-        log.solved(drop, config)
-        times = steps * drop.dt
-        solved.append((drop, times, arrival_current(
-            drop.spec, drop.params, config.z_detector, times, config.unit)))
-    return solved
+    for (name, spec, params), crossing in zip(entries, crossings):
+        _snapshots(name, spec, params, dt, config, manifest)
+        solved.append((crossing, arrival_current(
+            spec, params, config.z_detector, times, config.unit)))
+    return dt, times, solved
 
 
-def _drop_record(drop: _Drop, times, current, config: ExperimentConfig,
-                 digest: str, log: _RunLog):
-    """Log the arrival density of the solved `drop` to `log`; returns the
-    per-run record, stamped with the config's `digest`, and the density."""
-    dist = _arrival(times, current, [drop], config)
-    log.arrived(dist, drop.name)
-    spec, mass = drop.spec, drop.params.mass
+def _density(name: str, times, current, crossings, config: ExperimentConfig,
+             manifest: dict):
+    """The arrival density of the detector `current` in the window spanned by
+    `crossings`; a low capture is logged to `manifest` under `name`."""
+    dist = distribution_from_current(times, current, *_arrival_windows(
+        crossings, config.solver.window_sigmas))
+    if dist.low_capture_warning:
+        manifest["warnings"].append(
+            f"{name}: the arrival window captured "
+            f"{dist.capture_fraction:.6f} of the downward flux")
+    return dist
+
+
+def _drop(label: str, spec: WavepacketSpec, params: LinearPotentialParams,
+          config: ExperimentConfig, manifest: dict):
+    """Drop `spec` under `params` as run `<label>_<mode>` on its own clock,
+    logged to `manifest`; returns the per-run record, stamped with the
+    config's digest, and the arrival density."""
+    name = f"{label}_{params.mode}"
+    dt, times, [(crossing, current)] = _solve([(name, spec, params)], config,
+                                              manifest)
+    dist = _density(name, times, current, [crossing], config, manifest)
+    mass = params.mass
     return {
-        "label": drop.label,
-        "mode": drop.params.mode,
+        "label": label,
+        "mode": params.mode,
         "m_inertial": mass.m_inertial,
         "m_gravitational": mass.m_gravitational,
         "state_kind": spec.kind,
         "theta": spec.theta,
-        "t_ehrenfest": drop.crossing[0],
+        "t_ehrenfest": crossing[0],
         # the mean of a linear potential crosses at the Ehrenfest time exactly
-        "t_mean_crossing": drop.crossing[0],
-        "sigma_full": drop.crossing[1],
-        "sigma_asymptotic": asymptotic_sigma_tof(spec, drop.params,
-                                                 config.unit),
+        "t_mean_crossing": crossing[0],
+        "sigma_full": crossing[1],
+        "sigma_asymptotic": asymptotic_sigma_tof(spec, params, config.unit),
         "epsilon": epsilon_factor(spec, config.unit),
         "tof_mean": dist.mean_t,
         "tof_std": dist.std_t,
         "clipped_negativity": dist.clipped_negativity,
         "capture_fraction": dist.capture_fraction,
         "low_capture_warning": dist.low_capture_warning,
-        "dt": drop.dt,
-        "config_digest": digest,
+        "dt": dt,
+        "config_digest": manifest["digest"],
     }, dist
-
-
-def _arrival(times, current, drops: list[_Drop], config: ExperimentConfig):
-    """The arrival density of the detector `current` in the window spanned by
-    the planned crossings of `drops`."""
-    return distribution_from_current(times, current, *_arrival_windows(
-        [drop.crossing for drop in drops], config.solver.window_sigmas))
 
 
 def _sampling_errors(dists) -> dict:
@@ -303,54 +297,43 @@ def _sampling_errors(dists) -> dict:
             "sampling_error_tof_std": float(std)}
 
 
-@dataclass
-class _RunLog:
-    """What an experiment's runs leave in its manifest: the snapshot window
-    sizes of each run with snapshots, its snapshots, warnings."""
-
-    runs: dict[str, dict] = field(default_factory=dict)
-    snapshots: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    def solved(self, drop: _Drop, config: ExperimentConfig) -> None:
-        """Log run `drop`. With snapshots, write the closed-form field at
-        every `snapshot_stride`-th step to <output_dir>/snapshots/<name>,
-        each computed as it is written on its own window: the packet's mean
-        at t with `_margins` at t on either side. Every window is sized, and
-        held to `MAX_SNAPSHOT_POINTS`, before the first file is written."""
-        stride, n = config.solver.snapshot_stride, config.solver.time_steps
-        if not stride:
-            return
-        spec, params, unit = drop.spec, drop.params, config.unit
-        m0, windows = analytic_moments(spec, unit), []
-        for t in [step * drop.dt for step in range(0, n + 1, stride)]:
-            m = moment_evolution(m0, params, t)
-            pad, dz = _margins(spec, math.sqrt(m.var_z),
-                               _momentum_reach(m, 0.0), unit)
-            with np.errstate(all="ignore"):  # inf or nan if a scale overflowed
-                half = np.ceil(np.divide(pad, dz))
-            if not 2 * half + 1 <= MAX_SNAPSHOT_POINTS:
-                raise ConfigurationError(
-                    f"run {drop.name}: the snapshot at t = {t:.6g} needs "
-                    f"{2 * half + 1:.6g} points, above the cap "
-                    f"{MAX_SNAPSHOT_POINTS}; reduce the mass or the height")
-            windows.append((t, m.mean_z, dz, int(half)))
-        self.runs[drop.name] = {
-            "snapshot_points": [2 * half + 1 for *_, half in windows]}
-        out = Path(config.output_dir)
-        fields = ((t, z, closed_form_field(spec, params, t, z, unit))
-                  for t, z in ((t, centre + dz * np.arange(-half, half + 1))
-                               for t, centre, dz, half in windows))
-        paths = dump_snapshots(fields, out / "snapshots" / drop.name,
-                               config.snapshot_format)
-        self.snapshots += [path.relative_to(out).as_posix() for path in paths]
-
-    def arrived(self, dist, name: str) -> None:
-        """Warn when the arrival density `name` has its low-capture flag."""
-        if dist.low_capture_warning:
-            self.warnings.append(
-                f"{name}: the arrival window captured "
-                f"{dist.capture_fraction:.6f} of the downward flux")
+def _snapshots(name: str, spec: WavepacketSpec, params: LinearPotentialParams,
+               dt: float, config: ExperimentConfig, manifest: dict) -> None:
+    """With snapshots, write the closed-form field of run `name` at every
+    `snapshot_stride`-th step to
+    <output_dir>/snapshots/<experiment>_<digest>/<name> and log it to
+    `manifest`. Each snapshot is computed as it is written on its own window:
+    the packet's mean at t with `_margins` at t on either side. Every window
+    is sized, and held to `MAX_SNAPSHOT_POINTS`, before the first file is
+    written."""
+    stride, n = config.solver.snapshot_stride, config.solver.time_steps
+    if not stride:
+        return
+    unit = config.unit
+    m0, windows = analytic_moments(spec, unit), []
+    for t in [step * dt for step in range(0, n + 1, stride)]:
+        m = moment_evolution(m0, params, t)
+        pad, dz = _margins(spec, math.sqrt(m.var_z),
+                           _momentum_reach(m, 0.0), unit)
+        with np.errstate(all="ignore"):  # inf or nan if a scale overflowed
+            half = np.ceil(np.divide(pad, dz))
+        if not 2 * half + 1 <= MAX_SNAPSHOT_POINTS:
+            raise ConfigurationError(
+                f"run {name}: the snapshot at t = {t:.6g} needs "
+                f"{2 * half + 1:.6g} points, above the cap "
+                f"{MAX_SNAPSHOT_POINTS}; reduce the mass or the height")
+        windows.append((t, m.mean_z, dz, int(half)))
+    manifest["runs"][name] = {
+        "snapshot_points": [2 * half + 1 for *_, half in windows]}
+    out = Path(config.output_dir)
+    fields = ((t, z, closed_form_field(spec, params, t, z, unit))
+              for t, z in ((t, centre + dz * np.arange(-half, half + 1))
+                           for t, centre, dz, half in windows))
+    stem = f"{manifest['experiment']}_{manifest['digest']}"
+    paths = dump_snapshots(fields, out / "snapshots" / stem / name,
+                           config.snapshot_format)
+    manifest["snapshots"] += [path.relative_to(out).as_posix()
+                              for path in paths]
 
 
 @dataclass
@@ -402,18 +385,21 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _base_manifest(config: ExperimentConfig, record: dict,
-                   log: _RunLog) -> dict:
-    """The manifest of a run of `config`, whose canonical record is
-    `record`."""
-    return {
+def _provenance(experiment: str, config: ExperimentConfig) -> tuple:
+    """(digest, manifest) of a run of `config`: the manifest starts with no
+    warnings, runs or snapshots, and the experiment's drops log into it."""
+    record = config.canonical_record()
+    digest = _digest(record)
+    return digest, {
+        "experiment": experiment,
+        "digest": digest,
         "config": record,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "threads": config.threads,
-        "warnings": log.warnings,
-        "runs": log.runs,
-        "snapshots": log.snapshots,
+        "warnings": [],
+        "runs": {},
+        "snapshots": [],
     }
 
 
@@ -442,17 +428,12 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
             f"{match.velocity_residual:.3e}); enable auto_match or fix the "
             "preparation")
 
-    config_record = config.canonical_record()
-    digest = _digest(config_record)
-    drops = []
-    for idx, p in enumerate((p1, p2), start=1):  # each on its own domain
-        drops += _plan([(f"particle{idx}", p.spec, LinearPotentialParams(
-            p.mass, config.field_strength))], config)
-    records, distributions, log = [], {}, _RunLog()
-    for drop, times, current in _solve(drops, config, log):
-        rec, dist = _drop_record(drop, times, current, config, digest, log)
+    digest, manifest = _provenance("drop", config)
+    records, distributions = [], {}
+    for label, p in (("particle1", p1), ("particle2", p2)):
+        rec, distributions[label] = _drop(label, p.spec, LinearPotentialParams(
+            p.mass, config.field_strength), config, manifest)
         records.append(rec)
-        distributions[drop.label] = dist
 
     solver_tol = records[0]["dt"] + records[1]["dt"]
     l1, ks = distribution_distance(*distributions.values())
@@ -479,9 +460,7 @@ def run_galileo_pair(config: ExperimentConfig) -> ExperimentReport:
         "ks_distance": ks,
     }
     return ExperimentReport("drop", digest, records, summary=summary,
-                            manifest=_base_manifest(config, config_record,
-                                                    log),
-                            distributions=distributions)
+                            manifest=manifest, distributions=distributions)
 
 
 def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
@@ -496,32 +475,25 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
         if particle.mass.m_inertial != particle.mass.m_gravitational:
             raise ConfigurationError(
                 "equivalence test assumes m_inertial == m_gravitational")
-    config_record = config.canonical_record()
-    digest = _digest(config_record)
-    drops = []
+    digest, manifest = _provenance("ep_test", config)
+    records, identity_l1, control_l1, distributions = [], [], None, {}
     for idx, particle in enumerate(config.particles, start=1):
         label, spec, mass = f"particle{idx}", particle.spec, particle.mass
-        drops += _plan([(label, spec, LinearPotentialParams(
-            mass, config.field_strength, mode))
-            for mode in (GRAVITY, ACCELERATED_FRAME)], config)
-        if idx == 1 and config.accel_factor > 0:
-            drops += _plan([("control", spec, LinearPotentialParams(
-                mass, config.accel_factor * config.field_strength,
-                ACCELERATED_FRAME))], config)
-    log = _RunLog()
-    built = iter([_drop_record(*solved, config, digest, log)
-                  for solved in _solve(drops, config, log)])
-    records, identity_l1, control_l1, distributions = [], [], None, {}
-    for idx in range(1, len(config.particles) + 1):
-        (rec_g, dist_g), (rec_a, dist_a) = next(built), next(built)
+        # m_i = m_g gives both frames one float force, crossing and dt
+        (rec_g, dist_g), (rec_a, dist_a) = (_drop(
+            label, spec, LinearPotentialParams(mass, config.field_strength,
+                                               mode), config, manifest)
+            for mode in (GRAVITY, ACCELERATED_FRAME))
         l1, ks = distribution_distance(dist_g, dist_a)
         identity_l1.append(l1)
-        distributions[f"particle{idx}_gravity"] = dist_g
-        distributions[f"particle{idx}_accelerated"] = dist_a
+        distributions[f"{label}_gravity"] = dist_g
+        distributions[f"{label}_accelerated"] = dist_a
         records += [dict(rec, identity_l1=l1, identity_ks=ks)
                     for rec in (rec_g, rec_a)]
         if idx == 1 and config.accel_factor > 0:
-            rec_c, dist_c = next(built)
+            rec_c, dist_c = _drop("control", spec, LinearPotentialParams(
+                mass, config.accel_factor * config.field_strength,
+                ACCELERATED_FRAME), config, manifest)
             control_l1, _ = distribution_distance(dist_g, dist_c)
             records.append(dict(rec_c, identity_l1=control_l1,
                                 identity_ks=float("nan")))
@@ -534,11 +506,8 @@ def run_equivalence_test(config: ExperimentConfig) -> ExperimentReport:
         "control_l1": control_l1,
         "passed": passed,
     }
-    return ExperimentReport("ep_test", digest, records,
-                            summary=summary,
-                            manifest=_base_manifest(config, config_record,
-                                                    log),
-                            distributions=distributions)
+    return ExperimentReport("ep_test", digest, records, summary=summary,
+                            manifest=manifest, distributions=distributions)
 
 
 def run_mass_sweep(config: ExperimentConfig) -> ExperimentReport:
@@ -559,8 +528,7 @@ def run_mass_sweep(config: ExperimentConfig) -> ExperimentReport:
         if max(values) / min(values) < 10.0 - 1e-9:
             raise ConfigurationError(f"{name} must span at least one decade")
     unit = config.unit
-    config_record = config.canonical_record()
-    digest = _digest(config_record)
+    digest, manifest = _provenance("sweep", config)
     base = config.particles[0]
     spec = base.spec
 
@@ -608,7 +576,7 @@ def run_mass_sweep(config: ExperimentConfig) -> ExperimentReport:
                 if r["axis"] == "epsilon_vs_state"}
     return ExperimentReport(
         "sweep", digest, records, fits=fits, summary={"epsilons": epsilons},
-        manifest=_base_manifest(config, config_record, _RunLog()))
+        manifest=manifest)
 
 
 def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
@@ -623,28 +591,22 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
     spec, mass = particle.spec, particle.mass
     if spec.kind != CAT:
         raise PreconditionError("decoherence comparison needs a cat state")
-    config_record = config.canonical_record()
-    digest = _digest(config_record)
+    digest, manifest = _provenance("decohere", config)
     params = LinearPotentialParams(mass, config.field_strength)
 
     lo, hi = spec.peak_centers()
     wp = abs(spec.c_plus) ** 2 / (abs(spec.c_plus) ** 2 + abs(spec.c_minus) ** 2)
     wm = 1.0 - wp
 
-    # Shared clock and domain so branch currents superpose sample by sample.
-    drops = [drop._replace(name=drop.label) for drop in _plan([
+    # One clock, so the branch currents superpose sample by sample.
+    dt, times, [(cross, pure), (cross_p, plus), (cross_m, minus)] = _solve([
         ("pure", spec, params),
         ("branch_plus", WavepacketSpec.gaussian(lo, spec.delta0), params),
         ("branch_minus", WavepacketSpec.gaussian(hi, spec.delta0), params)],
-        config)]
-    dt = drops[0].dt
-    log = _RunLog()
-    (_, times, pure), (_, _, plus), (_, _, minus) = _solve(drops, config, log)
-
-    dist_pure = _arrival(times, pure, drops[:1], config)
-    dist_mixed = _arrival(times, wp * plus + wm * minus, drops[1:], config)
-    log.arrived(dist_pure, "pure")
-    log.arrived(dist_mixed, "mixture")
+        config, manifest)
+    dist_pure = _density("pure", times, pure, [cross], config, manifest)
+    dist_mixed = _density("mixture", times, wp * plus + wm * minus,
+                          [cross_p, cross_m], config, manifest)
 
     pure_moments = analytic_moments(spec, unit)
     mixed_moments = mixture_moments(spec, unit)
@@ -675,7 +637,6 @@ def run_decoherence_comparison(config: ExperimentConfig) -> ExperimentReport:
             abs(dist_pure.mean_t - dist_mixed.mean_t) > 5.0 * solver_tol,
     }
     return ExperimentReport("decohere", digest, records, summary=summary,
-                            manifest=_base_manifest(config, config_record,
-                                                    log),
+                            manifest=manifest,
                             distributions={"pure": dist_pure,
                                            "mixture": dist_mixed})

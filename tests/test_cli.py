@@ -197,9 +197,11 @@ def test_main_snapshot_flag(tmp_path):
     code = main(["drop", "--config", str(config_path), "--out",
                  str(tmp_path / "out"), "--snapshots", "strided:256"])
     assert code == 0
-    snap_dirs = list((tmp_path / "out" / "snapshots").iterdir())
-    assert snap_dirs
-    assert any(d.glob("snapshot_*.csv") for d in snap_dirs)
+    [stem] = (tmp_path / "out" / "snapshots").iterdir()
+    # steps 0, 256 and 512 of each particle's gravity run
+    assert sorted((d.name, len(list(d.glob("snapshot_*.csv"))))
+                  for d in stem.iterdir()) == [
+        ("particle1_gravity", 3), ("particle2_gravity", 3)]
 
 
 def snapshot_run(tmp_path, command, text):
@@ -212,7 +214,9 @@ def snapshot_run(tmp_path, command, text):
                  "--snapshots", "strided:256"])
     assert code == 0
     manifest = json.loads(next(out.glob("*.json")).read_text())
-    dirs = {d.name for d in (out / "snapshots").iterdir()}
+    [stem] = (out / "snapshots").iterdir()
+    assert stem.name == f"{manifest['experiment']}_{manifest['digest']}"
+    dirs = {d.name for d in stem.iterdir()}
     on_disk = {p.relative_to(out).as_posix()
                for p in (out / "snapshots").rglob("*") if p.is_file()}
     return dirs, on_disk, manifest["snapshots"]
@@ -231,6 +235,29 @@ def test_decohere_dumps_its_snapshots(tmp_path, capsys):
     dirs, on_disk, listed = snapshot_run(tmp_path, "decohere", SMALL_DROP)
     assert dirs == {"pure", "branch_plus", "branch_minus"}
     assert on_disk and sorted(on_disk) == sorted(listed)
+
+
+def test_two_configs_keep_their_snapshots_apart(tmp_path, capsys):
+    """Two configs' snapshots in one output directory: each manifest lists
+    files of its own, and the two lists together are the files on disk."""
+    heavy = tmp_path / "heavy.ini"
+    heavy.write_text(DEFAULT_CONFIG_TEXT.replace(
+        "m_inertial = 1.0", "m_inertial = 16.0").replace(
+        "m_gravitational = 1.0", "m_gravitational = 16.0"))
+    out, listed = tmp_path / "out", []
+    for args in (["--snapshots", "strided:512"],
+                 ["--config", str(heavy), "--snapshots", "strided:1024"]):
+        known = set(out.glob("*.json"))
+        assert main(["drop", *args, "--out", str(out)]) == 0
+        [manifest] = set(out.glob("*.json")) - known
+        listed.append(set(json.loads(manifest.read_text())["snapshots"]))
+    first, second = listed
+    assert (len(first), len(second)) == (2 * 9, 2 * 5)
+    assert not first & second
+    assert all((out / name).is_file() for name in first | second)
+    assert first | second == {p.relative_to(out).as_posix()
+                              for p in (out / "snapshots").rglob("*")
+                              if p.is_file()}
 
 
 def test_manifest_lists_no_snapshots_by_default(tmp_path, capsys):

@@ -623,6 +623,53 @@ def test_each_drop_is_one_closed_form_call(monkeypatch):
         (GRAVITY, 1025), (ACCELERATED_FRAME, 1025)] + [(GRAVITY, 335)] * 2
 
 
+# The default config with m = 16 and every 8th step recorded.
+HEAVY_STRIDED = (DEFAULT_CONFIG_TEXT
+                 .replace("m_inertial = 1.0", "m_inertial = 16.0")
+                 .replace("m_gravitational = 1.0", "m_gravitational = 16.0")
+                 .replace("record_stride = 1", "record_stride = 8"))
+
+
+@pytest.mark.parametrize("runner,text,expected", [
+    pytest.param(run_galileo_pair, DEFAULT_CONFIG_TEXT, [
+        ("particle1", 0.0020366590903944906, 2.024106298563379,
+         0.7123447121347032),
+        ("particle2", 0.002155888609854419, 2.089402734352393,
+         0.8039874653223821)], id="drop"),
+    pytest.param(run_equivalence_test, DEFAULT_CONFIG_TEXT, [
+        ("particle1", 0.0020366590903944906, 2.024106298563379,
+         0.7123447121347032),
+        ("particle1", 0.0020366590903944906, 2.024106298563379,
+         0.7123447121347032),
+        ("control", 0.0013156871628814141, 1.4072868047499145,
+         0.4521407022043732),
+        ("particle2", 0.002155888609854419, 2.089402734352393,
+         0.8039874653223821),
+        ("particle2", 0.002155888609854419, 2.089402734352393,
+         0.8039874653223821)], id="ep-test"),
+    pytest.param(run_decoherence_comparison, DEFAULT_CONFIG_TEXT, [
+        ("pure", 0.002209081724492087, 2.0241063143569997,
+         0.7123446757166267),
+        ("mixture", 0.002209081724492087, 2.08923411640953,
+         0.9216697508287637)], id="decohere"),
+    pytest.param(run_galileo_pair, HEAVY_STRIDED, [
+        ("particle1", 0.0016602041692308652, 1.9537225619657246,
+         0.5700902947468292),
+        ("particle2", 0.0012398617304120296, 1.968060707029315,
+         0.3755015890941734)], id="drop-m16-stride8"),
+])
+def test_each_run_keeps_its_clock(runner, text, expected):
+    """Each drop runs on its own clock and decohere's three solves share
+    one: the step and the density moments of every record are pinned."""
+    report = runner(parse_config_text(text))
+    assert [rec["label"] for rec in report.records] == [
+        label for label, *_ in expected]
+    for rec, (_, dt, mean, std) in zip(report.records, expected):
+        assert rec["dt"] == pytest.approx(dt, rel=1e-15, abs=0.0)
+        assert rec["tof_mean"] == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert rec["tof_std"] == pytest.approx(std, rel=1e-12, abs=0.0)
+
+
 def drop_pair(mass):
     """A male cat and a Gaussian of one mass, both released at rest at z = 2."""
     return config_for([
@@ -649,9 +696,9 @@ def test_snapshots_leave_the_records_unchanged(tmp_path):
 def read_snapshots(out, report, run):
     """The (t, z, psi) of each snapshot file that `report` lists for `run`
     under the output directory `out`, in order."""
-    snapshots = []
+    snapshots, stem = [], f"{report.experiment}_{report.digest}"
     for name in report.manifest["snapshots"]:
-        if not name.startswith(f"snapshots/{run}/"):
+        if not name.startswith(f"snapshots/{stem}/{run}/"):
             continue
         if name.endswith(".npz"):
             with np.load(out / name) as saved:
