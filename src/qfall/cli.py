@@ -21,6 +21,7 @@ from dataclasses import replace
 from ._version import __version__
 from .config import parse_config, parse_config_text, DEFAULT_CONFIG_TEXT
 from .errors import ConfigurationError, InfeasibleTargetError, SimulationError
+from .evolve import SNAPSHOT_FORMATS
 from .experiments import (
     run_decoherence_comparison,
     run_equivalence_test,
@@ -71,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="reject unknown config keys")
         cmd.add_argument("--snapshots", default="none", metavar="MODE",
                          help="'none' or 'strided:K' field snapshot dumps")
-        cmd.add_argument("--snapshot-format", default="csv",
-                         choices=("csv", "npz"))
+        cmd.add_argument("--snapshot-format", choices=SNAPSHOT_FORMATS,
+                         help="default: the config's [solver] snapshot_format")
     return parser
 
 
@@ -116,13 +117,13 @@ def main(argv=None) -> int:
             overrides["output_dir"] = args.out
         if args.threads is not None:
             overrides["threads"] = max(1, args.threads)
-        stride = _parse_snapshots(args.snapshots)
-        if stride:
-            overrides["solver"] = replace(config.solver,
-                                          snapshot_stride=stride)
-            overrides["snapshot_format"] = args.snapshot_format
-        if overrides:
-            config = replace(config, **overrides)
+        solver = config.solver
+        overrides["solver"] = replace(
+            solver,
+            snapshot_stride=(_parse_snapshots(args.snapshots)
+                             or solver.snapshot_stride),
+            snapshot_format=args.snapshot_format or solver.snapshot_format)
+        config = replace(config, **overrides)
 
         report = _COMMANDS[args.command](config)
         # Invocation provenance on top of the experiment's own manifest.

@@ -73,8 +73,7 @@ def _text(value) -> str:
 
 def _render(config: ExperimentConfig) -> str:
     """Config text listing every key that `config` reads (a particle only
-    those of its kind), which parses back to `config` (whose snapshot
-    format, a command-line choice, it leaves out)."""
+    those of its kind), which parses back to `config`."""
     return "\n".join(
         f"[{name}]\n" + "".join(
             f"{key} = {_text(value)}\n" for key, value in values.items()

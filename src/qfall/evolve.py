@@ -41,6 +41,8 @@ __all__ = [
 
 GRAVITY = "gravity"
 ACCELERATED_FRAME = "accelerated_frame"
+# The file formats of `dump_snapshots`.
+SNAPSHOT_FORMATS = ("csv", "npz")
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,22 @@ def closed_form_field(spec: WavepacketSpec, params: LinearPotentialParams,
     """psi(z, t) on no grid (`t` and `z` broadcast): the extended Galilean
     transform of the freely spreading branch sum phi,
     exp(-i F t z / hbar - i F^2 t^3 / (6 m_i hbar)) phi(z + g_eff t^2 / 2)."""
-    hbar, mi, force = unit.hbar, params.mass.m_inertial, params.force
     t, z = np.asarray(t, float), np.asarray(z, float)
     phi, _ = _branch_sum(spec, params, t, z, unit)
     with np.errstate(all="ignore"):
-        return _finite("field", np.exp(
-            -1j * force * t * z / hbar
-            - 1j * force**2 * t**3 / (6.0 * mi * hbar)) * phi)
+        return _finite("field", _galilean_phase(params, t, z, unit) * phi)
+
+
+def _galilean_phase(params: LinearPotentialParams, t, z,
+                    unit: UnitSystem) -> np.ndarray:
+    """exp(-i F t z / hbar - i F^2 t^3 / (6 m_i hbar)) at `t` and `z`
+    (broadcast), the field's and its oracle's one phase. `t` is made an
+    array, so every caller rounds t^3 alike (a Python float's can differ by
+    an ulp, ~1e-11 rad at t ~ 20)."""
+    hbar, mi, force = unit.hbar, params.mass.m_inertial, params.force
+    t = np.asarray(t, float)
+    return np.exp(-1j * force * t * z / hbar
+                  - 1j * force**2 * t**3 / (6.0 * mi * hbar))
 
 
 def arrival_current(spec: WavepacketSpec, params: LinearPotentialParams,
@@ -167,7 +178,7 @@ def dump_snapshots(snapshots, directory, fmt: str = "csv"):
     """
     from pathlib import Path
 
-    if fmt not in ("csv", "npz"):
+    if fmt not in SNAPSHOT_FORMATS:
         raise ConfigurationError(f"unknown snapshot format {fmt!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -28,6 +28,7 @@ from .errors import ConfigurationError, PreconditionError
 from .evolve import (
     ACCELERATED_FRAME,
     GRAVITY,
+    SNAPSHOT_FORMATS,
     LinearPotentialParams,
     arrival_current,
     closed_form_field,
@@ -93,6 +94,7 @@ class SolverSettings:
     time_steps: int = 4096
     record_stride: int = 1
     snapshot_stride: int = 0
+    snapshot_format: str = "csv"
     window_sigmas: float = WINDOW_SIGMAS
 
     def __post_init__(self):
@@ -115,6 +117,10 @@ class SolverSettings:
         if self.snapshot_stride < 0:
             raise ConfigurationError("snapshot_stride must be >= 0",
                                      key="snapshot_stride")
+        if self.snapshot_format not in SNAPSHOT_FORMATS:
+            raise ConfigurationError(f"unknown snapshot format "
+                                     f"{self.snapshot_format!r}",
+                                     key="snapshot_format")
         _check_scale("window_sigmas", self.window_sigmas)
 
 
@@ -153,7 +159,6 @@ class ExperimentConfig:
     match_tol: float = 1e-6
     threads: int = 1
     output_dir: str = "out"
-    snapshot_format: str = "csv"
 
     def __post_init__(self):
         if not self.particles:
@@ -331,7 +336,7 @@ def _snapshots(name: str, spec: WavepacketSpec, params: LinearPotentialParams,
                            for t, centre, dz, half in windows))
     stem = f"{manifest['experiment']}_{manifest['digest']}"
     paths = dump_snapshots(fields, out / "snapshots" / stem / name,
-                           config.snapshot_format)
+                           config.solver.snapshot_format)
     manifest["snapshots"] += [path.relative_to(out).as_posix()
                               for path in paths]
 

@@ -237,6 +237,23 @@ def test_decohere_dumps_its_snapshots(tmp_path, capsys):
     assert on_disk and sorted(on_disk) == sorted(listed)
 
 
+def shared_drops(out, *runs):
+    """Run `drop` into `out` once per argument list of `runs`; returns each
+    run's manifest's snapshot list, once the lists are checked to be
+    disjoint and, together, the files on disk."""
+    listed = []
+    for args in runs:
+        known = set(out.glob("*.json"))
+        assert main(["drop", *args, "--out", str(out)]) == 0
+        [manifest] = set(out.glob("*.json")) - known
+        listed.append(set(json.loads(manifest.read_text())["snapshots"]))
+    assert not set.intersection(*listed)
+    assert set.union(*listed) == {p.relative_to(out).as_posix()
+                                  for p in (out / "snapshots").rglob("*")
+                                  if p.is_file()}
+    return listed
+
+
 def test_two_configs_keep_their_snapshots_apart(tmp_path, capsys):
     """Two configs' snapshots in one output directory: each manifest lists
     files of its own, and the two lists together are the files on disk."""
@@ -244,20 +261,38 @@ def test_two_configs_keep_their_snapshots_apart(tmp_path, capsys):
     heavy.write_text(DEFAULT_CONFIG_TEXT.replace(
         "m_inertial = 1.0", "m_inertial = 16.0").replace(
         "m_gravitational = 1.0", "m_gravitational = 16.0"))
-    out, listed = tmp_path / "out", []
-    for args in (["--snapshots", "strided:512"],
-                 ["--config", str(heavy), "--snapshots", "strided:1024"]):
-        known = set(out.glob("*.json"))
-        assert main(["drop", *args, "--out", str(out)]) == 0
-        [manifest] = set(out.glob("*.json")) - known
-        listed.append(set(json.loads(manifest.read_text())["snapshots"]))
-    first, second = listed
+    first, second = shared_drops(
+        tmp_path / "out", ["--snapshots", "strided:512"],
+        ["--config", str(heavy), "--snapshots", "strided:1024"])
     assert (len(first), len(second)) == (2 * 9, 2 * 5)
-    assert not first & second
-    assert all((out / name).is_file() for name in first | second)
-    assert first | second == {p.relative_to(out).as_posix()
-                              for p in (out / "snapshots").rglob("*")
-                              if p.is_file()}
+
+
+def test_two_snapshot_formats_keep_their_snapshots_apart(tmp_path, capsys):
+    """The snapshot format is part of the config digest, so one config's
+    csv and npz snapshots in one output directory are each listed by the
+    manifest of their own run."""
+    csv, npz = shared_drops(
+        tmp_path / "out", *(["--snapshots", "strided:2048",
+                             "--snapshot-format", fmt]
+                            for fmt in ("csv", "npz")))
+    assert len(csv) == len(npz) == 2 * 3
+    assert {Path(name).suffix for name in csv} == {".csv"}
+    assert {Path(name).suffix for name in npz} == {".npz"}
+
+
+@pytest.mark.parametrize("flags, suffix", [
+    ([], ".npz"), (["--snapshot-format", "csv"], ".csv")],
+    ids=["config", "flag"])
+def test_snapshot_keys_from_the_config_file(tmp_path, capsys, flags, suffix):
+    """The config's `[solver]` snapshot keys apply without `--snapshots`,
+    and `--snapshot-format` overrides the config's format."""
+    config_path = tmp_path / "drop.ini"
+    config_path.write_text(
+        SMALL_DROP + "snapshot_stride = 512\nsnapshot_format = npz\n")
+    assert main(["drop", "--config", str(config_path), "--out",
+                 str(tmp_path / "out"), *flags]) == 0
+    assert {p.suffix for p in (tmp_path / "out" / "snapshots").rglob("*.*")
+            } == {suffix}
 
 
 def test_manifest_lists_no_snapshots_by_default(tmp_path, capsys):
@@ -409,10 +444,16 @@ time_steps = 512
     assert "passed = True" in out
 
 
-def test_main_validate(capsys):
-    assert main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+def test_main_validate(monkeypatch, capsys):
+    """One line per check, and exit 4 when any fails; the real checks run
+    in test_validate."""
+    monkeypatch.setattr(cli.validate_module, "CHECKS", [
+        ("passing stub", lambda: (True, "gap 0.0")),
+        ("failing stub", lambda: (False, "gap 1.0"))])
+    assert main(["validate"]) == cli.EXIT_CHECK == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["PASS  passing stub  gap 0.0",
+                         "FAIL  failing stub  gap 1.0"]
 
 
 # --- one parser per process ----------------------------------------------------

@@ -116,6 +116,7 @@ REJECTED_SETTINGS = [
     ("solver", "record_stride", "1000",
      "record_stride 1000 is above 682, .* of time_steps 4096"),
     ("solver", "snapshot_stride", "-1", "snapshot_stride must be >= 0"),
+    ("solver", "snapshot_format", "hdf5", "unknown snapshot format 'hdf5'"),
     ("solver", "window_sigmas", "0", "window_sigmas must be positive"),
     ("units", "hbar", "0", "hbar must be positive"),
     ("units", "g", "-1", "g must be nonnegative"),
@@ -217,6 +218,7 @@ configs = st.builds(
     solver=st.integers(1, 64).flatmap(lambda stride: st.builds(
         SolverSettings, time_steps=st.integers(max(16, 6 * stride + 1), 10**5),
         record_stride=st.just(stride), snapshot_stride=st.integers(0, 64),
+        snapshot_format=st.sampled_from(("csv", "npz")),
         window_sigmas=st.floats(0.5, 20.0))),
     sweep=st.builds(SweepSettings, m_g_values=value_lists,
                     ratio_values=value_lists,

@@ -81,16 +81,6 @@ def test_free_fall_crossing_moment():
     assert math.isclose(mt.mean_p, -2.0, rel_tol=1e-14)
 
 
-def test_variance_independent_of_field_strength():
-    m0 = analytic_moments(WavepacketSpec.yurke_stoler(2.0, 1.0, 1.0))
-    for t in (0.3, 1.0, 2.7):
-        a = moment_evolution(m0, params_g(g=1.0), t)
-        b = moment_evolution(m0, params_g(g=2.0), t)
-        assert a.var_z == b.var_z
-        assert a.var_p == b.var_p
-        assert a.cov_zp == b.cov_zp
-
-
 def test_gaussian_spreading_law():
     m0 = analytic_moments(WavepacketSpec.gaussian(0.0, 1.0))
     for t in (0.5, 1.0, 3.0):
@@ -164,21 +154,6 @@ def test_single_step_reversibility():
                        grid.spacing) <= 1e-12
 
 
-def test_strang_halving_ratio():
-    spec = WavepacketSpec.gaussian(2.0, 1.0)
-    grid = make_grid(-25.0, 22.0, 2048)
-    params = params_g()
-    field0 = build_wavefunction(spec, grid)
-    exact = exact_wavefunction(spec, params, 2.0, grid)
-    errors = []
-    for steps in (512, 1024):
-        run = split_step_evolve(field0, params, 2.0 / steps, steps,
-                                record_stride=steps)
-        errors.append(l2_distance(run.final_field.amplitudes,
-                                  exact.amplitudes, grid.spacing))
-    assert 3.5 <= errors[0] / errors[1] <= 4.5
-
-
 def test_equivalence_modes_bitwise_identical():
     spec = WavepacketSpec.yurke_stoler(2.0, 1.0, 1.0)
     grid = make_grid(-30.0, 25.0, 2048)
@@ -189,14 +164,6 @@ def test_equivalence_modes_bitwise_identical():
                               500, record_stride=500)
     assert np.array_equal(grav.final_field.amplitudes,
                           accel.final_field.amplitudes)
-
-
-def test_norm_conserved_along_run():
-    spec = WavepacketSpec.gaussian(2.0, 1.0)
-    grid = make_grid(-30.0, 25.0, 2048)
-    res = split_step_evolve(build_wavefunction(spec, grid), params_g(),
-                            0.001, 1000, record_stride=10)
-    assert float(np.max(np.abs(res.norms - 1.0))) <= 1e-12
 
 
 def test_split_step_tracks_ehrenfest():
@@ -478,6 +445,7 @@ def test_arrival_current_matches_the_split_step_probe(seed, mass, mode):
     fraction=st.floats(0.0, 1.0),
     mode=st.sampled_from((GRAVITY, ACCELERATED_FRAME)))
 @example(seed=6993, kind="yurke_stoler", mass=0.5, fraction=1.0, mode=GRAVITY)
+@example(seed=1133024, kind="female", mass=9.0, fraction=1.0, mode=GRAVITY)
 def test_closed_form_field_matches_the_exact_propagator(seed, kind, mass,
                                                         fraction, mode):
     """Each state kind, of mass 0.5 to 16 and released from z0 in [1, 4] over
@@ -486,7 +454,13 @@ def test_closed_form_field_matches_the_exact_propagator(seed, kind, mass,
     2^16 points for some long drops) padded by 60 plus 5 sigma_z(t_final) on
     each side, where the periodic oracle has converged (on the planned
     domain alone a light cat's oracle wraps by up to 3.4e-7; padded by 60
-    alone, the pinned wide light cat's still wraps by 6.4e-10)."""
+    alone, the pinned wide light cat's still wraps by 6.4e-10).
+
+    The pinned heavy female cat (t = 22.56, 87,480 points) needs both
+    routes to round t^3 alike: one ulp apart, as a Python float and a 0-d
+    array round it, is a global phase offset of 1.46e-11 rad and a 5.2e-12
+    gap. Both take the phase from `evolve._galilean_phase`; the gap is
+    8.0e-15."""
     rng = np.random.default_rng(seed)
     delta0 = rng.uniform(0.6, 1.6)
     spec = STATE_FAMILIES[kind](rng.uniform(1.0, 4.0),

@@ -728,9 +728,9 @@ def test_snapshots_are_the_exact_fields(tmp_path, fmt):
     packet's mean at t, with `_margins` at t on either side."""
     particle = gaussian_particle()
     solver = SolverSettings(time_steps=1024, record_stride=8,
-                            snapshot_stride=300)
+                            snapshot_stride=300, snapshot_format=fmt)
     report = run_equivalence_test(config_for(
-        [particle], accel_factor=0.0, solver=solver, snapshot_format=fmt,
+        [particle], accel_factor=0.0, solver=solver,
         output_dir=str(tmp_path)))
     params = LinearPotentialParams(particle.mass, 1.0)
     m0 = analytic_moments(particle.spec)
@@ -759,8 +759,8 @@ def test_light_cat_snapshot_matches_the_converged_oracle(tmp_path):
     particle = Particle(WavepacketSpec.male_cat(2.890, 1.0, 1.0),
                         MassPair(0.7116, 0.7116))
     report = run_equivalence_test(config_for(
-        [particle], accel_factor=0.0, snapshot_format="npz",
-        solver=SolverSettings(snapshot_stride=4096),
+        [particle], accel_factor=0.0,
+        solver=SolverSettings(snapshot_stride=4096, snapshot_format="npz"),
         output_dir=str(tmp_path)))
     *_, (t, z, psi) = read_snapshots(tmp_path, report, "particle1_gravity")
     assert t == pytest.approx(9.473, abs=5e-4)
@@ -782,8 +782,9 @@ def sized_pairs(tmp_path_factory):
     for mass in (1.5, 16.0):
         out = tmp_path_factory.mktemp("sized")
         pairs[mass] = out, run_galileo_pair(replace(
-            drop_pair(mass), output_dir=str(out), snapshot_format="npz",
-            solver=SolverSettings(time_steps=1024, snapshot_stride=1024)))
+            drop_pair(mass), output_dir=str(out),
+            solver=SolverSettings(time_steps=1024, snapshot_stride=1024,
+                                  snapshot_format="npz")))
     return pairs
 
 
@@ -855,8 +856,8 @@ def test_heavy_drops_run_without_a_grid(tmp_path, mass):
     for fmt, stride, count in (("npz", 512, 9), ("csv", 4096, 2)):
         out = tmp_path / fmt
         snapped = run_galileo_pair(replace(
-            config, output_dir=str(out), snapshot_format=fmt,
-            solver=replace(config.solver, snapshot_stride=stride)))
+            config, output_dir=str(out), solver=replace(
+                config.solver, snapshot_stride=stride, snapshot_format=fmt)))
         assert snapped.records == [dict(rec, config_digest=snapped.digest)
                                    for rec in report.records]
         for name, run in snapped.manifest["runs"].items():

@@ -130,22 +130,6 @@ def test_velocity_bound_attained_at_quarter_phase():
                         rel_tol=1e-14)
 
 
-def test_randomized_feasible_matrix():
-    rng = np.random.default_rng(7)
-    done = 0
-    while done < 12:
-        spec1 = random_cat(rng)
-        mass1 = MassPair(rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0))
-        family = random_cat(rng)
-        mass2 = MassPair(rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0))
-        v1 = analytic_moments(spec1).mean_p / mass1.m_inertial
-        if abs(v1) > 0.95 * velocity_bound(family, mass2):
-            continue
-        spec2 = match_second_particle(spec1, mass1, family, mass2)
-        assert check_matched(spec1, mass1, spec2, mass2, tol=1e-9)
-        done += 1
-
-
 def test_target_at_the_bound_within_roundoff_matches_at_quarter_phase():
     # v* / v_max - 1 = 2.2e-16: inside the bound's 1e-12 slack, so it must
     # match at the branch end rather than raise

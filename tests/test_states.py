@@ -93,12 +93,6 @@ def test_odd_cat_vanishes_at_center():
     assert abs(field.amplitudes[center]) < 1e-16
 
 
-def test_even_cat_unit_norm(wide_grid):
-    field = build_wavefunction(WavepacketSpec.male_cat(0.0, 1.0, 1.0),
-                               wide_grid)
-    assert abs(norm(field) - 1.0) <= 1e-12
-
-
 def test_build_rejects_peaks_near_boundary():
     grid = make_grid(-5.0, 5.0, 256)
     with pytest.raises(DomainError):
@@ -157,7 +151,7 @@ def test_built_cats_have_unit_norm(spec):
 @given(built_cats)
 def test_analytic_moments_equal_numeric_moments(spec):
     """The closed-form moments of any built cat equal the grid quadrature's
-    within the scaled 1e-8 that `qfall validate` holds its 30 fixed cats
+    within the scaled 1e-8 that `qfall validate` holds its 100 fixed cats
     to."""
     assert _moment_gaps(spec) <= 1e-8
 
@@ -223,16 +217,6 @@ def test_small_delta_limit_matches_gaussian():
         assert abs(cat.var_p - gauss.var_p) < 1e-5
 
 
-def test_epsilon_ratio_identity():
-    gauss = analytic_moments(WavepacketSpec.gaussian(0, 1.0))
-    even = analytic_moments(WavepacketSpec.male_cat(0, 1.0, 1.0))
-    odd = analytic_moments(WavepacketSpec.female_cat(0, 1.0, 1.0))
-    assert abs(math.sqrt(even.var_p / gauss.var_p)
-               - math.sqrt(EPS_RATIO)) <= 1e-10
-    assert abs(math.sqrt(odd.var_p / gauss.var_p)
-               - 1.0 / math.sqrt(EPS_RATIO)) <= 1e-10
-
-
 # --- numeric moments --------------------------------------------------------
 
 def test_numeric_moments_gaussian(wide_grid):
@@ -241,23 +225,6 @@ def test_numeric_moments_gaussian(wide_grid):
     assert abs(mom.mean_z) <= 1e-10
     assert abs(mom.var_z - 0.5) <= 1e-8
     assert abs(mom.var_p - 0.5) <= 1e-8
-
-
-def test_numeric_matches_analytic_on_random_specs():
-    rng = np.random.default_rng(20260811)
-    for _ in range(100):
-        spec = random_cat(rng)
-        ana = analytic_moments(spec)
-        num = numeric_moments(build_wavefunction(spec, grid_for(spec)))
-        scales = {
-            "mean_z": max(abs(ana.mean_z), spec.delta0),
-            "mean_p": max(abs(ana.mean_p), HBAR / spec.delta0),
-            "var_z": ana.var_z,
-            "var_p": ana.var_p,
-            "cov_zp": max(abs(ana.cov_zp), HBAR),
-        }
-        for name, scale in scales.items():
-            assert abs(getattr(ana, name) - getattr(num, name)) <= 1e-8 * scale
 
 
 def test_real_cat_has_zero_numeric_momentum(wide_grid):
