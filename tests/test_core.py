@@ -83,6 +83,12 @@ def test_norm_zero_field():
     assert norm(GridField(grid, np.zeros(64, dtype=complex))) == 0.0
 
 
+def test_norm_of_built_gaussian():
+    grid = make_grid(-20.0, 20.0, 1024)
+    field = build_wavefunction(WavepacketSpec.gaussian(0.0, 1.0), grid)
+    assert abs(norm(field) - 1.0) <= 1e-12
+
+
 def test_norm_global_phase_invariant():
     grid = make_grid(-20.0, 20.0, 1024)
     field = build_wavefunction(WavepacketSpec.gaussian(0.0, 1.0), grid)

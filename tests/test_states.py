@@ -93,6 +93,12 @@ def test_odd_cat_vanishes_at_center():
     assert abs(field.amplitudes[center]) < 1e-16
 
 
+def test_even_cat_unit_norm(wide_grid):
+    field = build_wavefunction(WavepacketSpec.male_cat(0.0, 1.0, 1.0),
+                               wide_grid)
+    assert abs(norm(field) - 1.0) <= 1e-12
+
+
 def test_build_rejects_peaks_near_boundary():
     grid = make_grid(-5.0, 5.0, 256)
     with pytest.raises(DomainError):
@@ -215,6 +221,16 @@ def test_small_delta_limit_matches_gaussian():
         assert abs(cat.mean_p - gauss.mean_p) < 1e-5
         assert abs(cat.var_z - gauss.var_z) < 1e-5
         assert abs(cat.var_p - gauss.var_p) < 1e-5
+
+
+def test_epsilon_ratio_identity():
+    gauss = analytic_moments(WavepacketSpec.gaussian(0, 1.0))
+    even = analytic_moments(WavepacketSpec.male_cat(0, 1.0, 1.0))
+    odd = analytic_moments(WavepacketSpec.female_cat(0, 1.0, 1.0))
+    assert abs(math.sqrt(even.var_p / gauss.var_p)
+               - math.sqrt(EPS_RATIO)) <= 1e-10
+    assert abs(math.sqrt(odd.var_p / gauss.var_p)
+               - 1.0 / math.sqrt(EPS_RATIO)) <= 1e-10
 
 
 # --- numeric moments --------------------------------------------------------

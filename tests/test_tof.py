@@ -26,7 +26,7 @@ from qfall import (
     semiclassical_sigma_tof,
     split_step_evolve,
 )
-from conftest import random_cat
+from conftest import EPS_RATIO, random_cat
 
 
 def params_g(mi=1.0, mg=1.0, g=1.0):
@@ -96,6 +96,14 @@ def test_field_free_crossing_with_downward_velocity():
 
 
 # --- epsilon and semiclassical spreads ----------------------------------------
+
+def test_epsilon_reference_values():
+    assert epsilon_factor(WavepacketSpec.gaussian(0, 1.0)) == 1.0
+    assert abs(epsilon_factor(WavepacketSpec.male_cat(0, 1, 1))
+               - math.sqrt(EPS_RATIO)) <= 1e-9
+    assert abs(epsilon_factor(WavepacketSpec.female_cat(0, 1, 1))
+               - 1.0 / math.sqrt(EPS_RATIO)) <= 1e-9
+
 
 def test_sigma_asymptotic_plugin_value():
     _, sigma_asym = semiclassical_sigma_tof(WavepacketSpec.gaussian(2.0, 1.0),
