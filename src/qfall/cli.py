@@ -70,8 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="worker threads for sweep points")
         cmd.add_argument("--strict", action="store_true",
                          help="reject unknown config keys")
-        cmd.add_argument("--snapshots", default="none", metavar="MODE",
-                         help="'none' or 'strided:K' field snapshot dumps")
+        cmd.add_argument("--snapshots", metavar="MODE",
+                         help="'none' or 'strided:K' field snapshot dumps "
+                              "(default: the config's [solver] "
+                              "snapshot_stride)")
         cmd.add_argument("--snapshot-format", choices=SNAPSHOT_FORMATS,
                          help="default: the config's [solver] snapshot_format")
     return parser
@@ -120,8 +122,8 @@ def main(argv=None) -> int:
         solver = config.solver
         overrides["solver"] = replace(
             solver,
-            snapshot_stride=(_parse_snapshots(args.snapshots)
-                             or solver.snapshot_stride),
+            snapshot_stride=(solver.snapshot_stride if args.snapshots is None
+                             else _parse_snapshots(args.snapshots)),
             snapshot_format=args.snapshot_format or solver.snapshot_format)
         config = replace(config, **overrides)
 

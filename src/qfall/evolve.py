@@ -108,21 +108,32 @@ def _branch_sum(spec: WavepacketSpec, params: LinearPotentialParams, t, z,
     """(phi, d_u phi) of the free Gaussian branches, each of complex width
     s^2 = delta0^2 + i hbar t / m_i and amplitude N c delta0 / s, at
     u = z + g_eff t^2 / 2 (`t` and `z` broadcast); far tails are set to 0."""
+    if np.ndim(t) == np.ndim(z) == 0:  # the in-place products need arrays
+        phi, dphi = _branch_sum(spec, params, np.reshape(t, 1),
+                                np.reshape(z, 1), unit)
+        return phi[0], dphi[0]
     hbar, mi = unit.hbar, params.mass.m_inertial
     lo, hi = spec.peak_centers()
     branches = [(lo, spec.c_plus)] + [(hi, spec.c_minus)] * (spec.kind == CAT)
     phi = dphi = 0.0
     with np.errstate(all="ignore"):  # overflow is left to the callers
         s2 = spec.delta0**2 + 1j * hbar * t / mi
+        two_s2 = 2.0 * s2
         x0 = z + 0.5 * params.g_eff * t**2
+        # Each product keeps its operand order and writes to an array that
+        # is not one of its operands: numpy's complex c * a and a * c can
+        # differ in the last bit, and so can a 1-element in-place product.
         for center, coeff in branches:
             x = x0 - center
-            exponent = -x * x / (2.0 * s2)
-            branch = coeff * np.exp(exponent, out=np.zeros_like(exponent),
-                                    where=exponent.real > -800.0)
-            phi, dphi = phi + branch, dphi - x / s2 * branch
-        return (normalization_constant(spec) * spec.delta0 / np.sqrt(s2)
-                * np.array([phi, dphi]))
+            exponent = -x * x / two_s2
+            gauss = np.exp(exponent, out=np.zeros_like(exponent),
+                           where=exponent.real > -800.0)
+            branch = np.multiply(coeff, gauss, out=exponent)
+            slope = np.divide(x, s2, out=gauss) * branch
+            dphi = np.subtract(dphi, slope, out=slope)
+            phi = np.add(phi, branch, out=branch)
+        scale = normalization_constant(spec) * spec.delta0 / np.sqrt(s2)
+        return scale * phi, scale * dphi
 
 
 def closed_form_field(spec: WavepacketSpec, params: LinearPotentialParams,

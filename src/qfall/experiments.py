@@ -12,13 +12,22 @@ configs produce byte-identical tables.
 from __future__ import annotations
 
 import datetime
-import hashlib
 import json
 import math
 import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+# CPython's builtin SHA-256, as the stdlib's `random` takes its sha512:
+# `hashlib` would load OpenSSL (~3.5 MB resident) for one hash per report.
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -184,7 +193,7 @@ class ExperimentConfig:
 def _digest(record: dict) -> str:
     """The digest of a config's canonical record."""
     text = json.dumps(record, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 def fit_power_law(x, y) -> tuple[float, float, float]:
@@ -564,7 +573,7 @@ def run_mass_sweep(config: ExperimentConfig) -> ExperimentReport:
         rec["config_digest"] = digest
         point_text = json.dumps({k: rec[k] for k in ("axis", "x")},
                                 sort_keys=True, default=str)
-        rec["point_digest"] = hashlib.sha256(
+        rec["point_digest"] = sha256(
             (digest + point_text).encode()).hexdigest()[:16]
 
     sigma_recs = [r for r in records if r["axis"] == "sigma_vs_mg"]

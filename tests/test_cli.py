@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -295,6 +296,18 @@ def test_snapshot_keys_from_the_config_file(tmp_path, capsys, flags, suffix):
             } == {suffix}
 
 
+def test_snapshots_none_turns_off_the_config_stride(tmp_path, capsys):
+    """An explicit `--snapshots none` overrides the config's stride."""
+    config_path = tmp_path / "drop.ini"
+    config_path.write_text(DEFAULT_CONFIG_TEXT.replace(
+        "snapshot_stride = 0", "snapshot_stride = 2048"))
+    assert main(["drop", "--config", str(config_path), "--out",
+                 str(tmp_path / "out"), "--snapshots", "none"]) == 0
+    assert json.loads(next((tmp_path / "out").glob("*.json")).read_text())[
+        "snapshots"] == []
+    assert not (tmp_path / "out" / "snapshots").exists()
+
+
 def test_manifest_lists_no_snapshots_by_default(tmp_path, capsys):
     config_path = tmp_path / "drop.ini"
     config_path.write_text(SMALL_DROP)
@@ -501,7 +514,7 @@ def test_back_to_back_calls_share_one_parser_and_no_arguments(
         "strided:8", 2, True)
     for args in later:
         assert (args.snapshots, args.threads, args.strict) == (
-            "none", None, False)
+            None, None, False)
     for sub, snapshots in (("a", 9 * 2), ("b", 0), ("c", 0)):
         manifest = json.loads(next((tmp_path / sub).glob("*.json"))
                               .read_text())
@@ -531,6 +544,26 @@ def test_importing_the_cli_builds_no_parser():
                             capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=src))
     assert result.stdout == "0\n"
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha2") is None
+                    and importlib.util.find_spec("_sha256") is None,
+                    reason="no builtin SHA-256 module in this Python")
+def test_experiment_runs_load_neither_openssl_nor_numpy_ma(tmp_path):
+    """A fresh interpreter that runs `drop`, `ep-test`, `decohere` and
+    `sweep` never imports `hashlib` (OpenSSL) or `numpy.ma`."""
+    probe = ("import sys\n"
+             "from qfall.cli import main\n"
+             "for command in ('drop', 'ep-test', 'decohere', 'sweep'):\n"
+             "    assert main([command, '--out', sys.argv[1]]) == 0\n"
+             "loaded = [name for name in ('hashlib', '_hashlib', 'numpy.ma')\n"
+             "          if name in sys.modules]\n"
+             "print(loaded, file=sys.stderr)\n")
+    src = str(Path(qfall.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                            check=True, capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.stderr == "[]\n"
 
 
 # --- package layout ------------------------------------------------------------

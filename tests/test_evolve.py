@@ -33,7 +33,9 @@ from qfall import (
     split_step_evolve,
 )
 
-from qfall import validate
+from qfall import DEFAULT_UNITS, validate
+from qfall.evolve import _branch_sum
+from qfall.states import CAT, normalization_constant
 from qfall.validate import probe_current, probe_weights
 
 from conftest import grid_for, padded, random_cat
@@ -484,6 +486,56 @@ def test_arrival_current_of_a_gaussian_ignores_c_minus():
     times = np.linspace(0.0, 4.0, 9)
     assert np.array_equal(arrival_current(spec, params_g(), 0.0, times),
                           arrival_current(odd, params_g(), 0.0, times))
+
+
+def plain_branch_sum(spec, params, t, z):
+    """`evolve._branch_sum` with a fresh array for each operation: the
+    reference its in-place products must equal bit for bit."""
+    lo, hi = spec.peak_centers()
+    branches = [(lo, spec.c_plus)] + [(hi, spec.c_minus)] * (spec.kind == CAT)
+    phi = dphi = 0.0
+    with np.errstate(all="ignore"):
+        s2 = (spec.delta0**2
+              + 1j * DEFAULT_UNITS.hbar * t / params.mass.m_inertial)
+        x0 = z + 0.5 * params.g_eff * t**2
+        for center, coeff in branches:
+            x = x0 - center
+            exponent = -x * x / (2.0 * s2)
+            branch = coeff * np.exp(exponent, out=np.zeros_like(exponent),
+                                    where=exponent.real > -800.0)
+            phi, dphi = phi + branch, dphi - x / s2 * branch
+        return (normalization_constant(spec) * spec.delta0 / np.sqrt(s2)
+                * np.array([phi, dphi]))
+
+
+def test_branch_sum_matches_the_plain_reference():
+    """Bit for bit on the shapes its callers pass: an array of times at one
+    height (the current; also of 1 time), one time over an array of heights
+    (the field), and a column of times against a row of heights. A scalar
+    time and height takes 1-element arrays, within 1e-14 of the reference's
+    scalar arithmetic."""
+    rng = np.random.default_rng(5)
+    for kind in ("gaussian", "cat") * 20:
+        spec = (WavepacketSpec.gaussian(rng.uniform(-2.0, 2.0), 1.0)
+                if kind == "gaussian" else random_cat(rng))
+        params = params_g(*10.0 ** rng.uniform(-1.0, 3.0, size=2),
+                          rng.uniform(0.0, 3.0),
+                          (GRAVITY, ACCELERATED_FRAME)[rng.integers(2)])
+        times = np.linspace(0.0, rng.uniform(0.5, 30.0),
+                            int(rng.integers(2, 3000)))
+        z = np.linspace(-30.0, 10.0, int(rng.integers(2, 2000)))
+        t_one = np.asarray(rng.uniform(0.0, 30.0))
+        z_one = rng.uniform(-20.0, 0.0)
+        for t, at in ((times, z_one), (times[-1:], z_one), (t_one, z),
+                      (times[:5, None], z[:7])):
+            got = _branch_sum(spec, params, t, at, DEFAULT_UNITS)
+            assert [a.tobytes() for a in got] == [
+                b.tobytes() for b in plain_branch_sum(spec, params, t, at)]
+        got = _branch_sum(spec, params, t_one, np.asarray(z_one),
+                          DEFAULT_UNITS)
+        assert [np.ndim(a) for a in got] == [0, 0]
+        assert np.allclose(got, plain_branch_sum(spec, params, t_one, z_one),
+                           rtol=1e-14, atol=0.0)
 
 
 # --- checks and bit-for-bit agreement of solo runs ---------------------------

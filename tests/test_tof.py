@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfall import (
     GRAVITY,
@@ -249,6 +251,40 @@ def test_disjoint_windows_error():
     d2 = TofDistribution(times_b, bump, 2.5, 0.1, (2.0, 3.0), 0.0)
     with pytest.raises(PreconditionError):
         distribution_distance(d1, d2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(
+           st.integers(2, 300), st.integers(2, 300)),
+       start=st.floats(0.0, 10.0), dt=st.floats(1e-3, 1.0),
+       dt_ratio=st.one_of(st.just(1.0), st.floats(0.3, 3.0)),
+       shift=st.floats(0.01, 0.99))
+def test_distance_equals_the_union1d_reference(seed, sizes, start, dt,
+                                               dt_ratio, shift):
+    """L1 and KS equal, bitwise, the same estimators on `np.union1d` of the
+    two sample times, also where the windows share sample times (same dt,
+    starts a whole number of steps apart)."""
+    rng = np.random.default_rng(seed)
+    n1, n2 = sizes
+    times1 = start + dt * np.arange(n1)
+    if dt_ratio == 1.0:  # offset by k steps, 1 - n2 < k < n1 - 1
+        k = int(rng.integers(2 - n2, n1 - 1))
+        times2 = start + dt * np.arange(k, k + n2)
+    else:
+        span1, span2 = times1[-1] - start, dt * dt_ratio * (n2 - 1)
+        times2 = (times1[-1] - shift * (span1 + span2)
+                  + dt * dt_ratio * np.arange(n2))
+    d1, d2 = (TofDistribution(times, rng.random(len(times)), 0.0, 0.0,
+                              (times[0], times[-1]), 0.0)
+              for times in (times1, times2))
+    grid = np.union1d(times1, times2)
+    f1, f2 = (np.interp(grid, d.times, d.density, left=0.0, right=0.0)
+              for d in (d1, d2))
+    c1, c2 = (TofDistribution(grid, f, 0.0, 0.0, d.window, 0.0).cumulative()
+              for f, d in ((f1, d1), (f2, d2)))
+    expected = (float(np.trapezoid(np.abs(f1 - f2), grid)),
+                float(np.max(np.abs(c1 - c2))))
+    assert distribution_distance(d1, d2) == expected
 
 
 def test_distribution_from_current_rejects_pure_backflow():
