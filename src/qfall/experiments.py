@@ -222,13 +222,10 @@ def _momentum_reach(m: MomentSet, force_t: float) -> float:
             + 6.0 * math.sqrt(m.var_p))
 
 
-def _margins(spec: WavepacketSpec, sigma_z: float, p_reach: float,
-             unit: UnitSystem) -> tuple[float, float]:
-    """(pad, spacing) around a packet of spread `sigma_z` and
-    `_momentum_reach` `p_reach`: 9 sigma_z + delta + 8 delta0, and at most
+def _spacing(spec: WavepacketSpec, p_reach: float, unit: UnitSystem) -> float:
+    """The grid spacing for a packet of `_momentum_reach` `p_reach`: at most
     delta0 / 3 and pi hbar / (2.5 p_reach)."""
-    return (9.0 * sigma_z + spec.delta + 8.0 * spec.delta0,
-            min(np.pi * unit.hbar / (2.5 * p_reach), spec.delta0 / 3.0))
+    return min(np.pi * unit.hbar / (2.5 * p_reach), spec.delta0 / 3.0)
 
 
 def _record_steps(n: int, stride: int) -> np.ndarray:
@@ -317,8 +314,9 @@ def _snapshots(name: str, spec: WavepacketSpec, params: LinearPotentialParams,
     `snapshot_stride`-th step to
     <output_dir>/snapshots/<experiment>_<digest>/<name> and log it to
     `manifest`. Each snapshot is computed as it is written on its own window:
-    the packet's mean at t with `_margins` at t on either side. Every window
-    is sized, and held to `MAX_SNAPSHOT_POINTS`, before the first file is
+    the packet's mean at t padded by 9 sigma_z(t) + delta + 8 delta0 on
+    either side, at the `_spacing` of its momentum at t. Every window is
+    sized, and held to `MAX_SNAPSHOT_POINTS`, before the first file is
     written."""
     stride, n = config.solver.snapshot_stride, config.solver.time_steps
     if not stride:
@@ -327,8 +325,8 @@ def _snapshots(name: str, spec: WavepacketSpec, params: LinearPotentialParams,
     m0, windows = analytic_moments(spec, unit), []
     for t in [step * dt for step in range(0, n + 1, stride)]:
         m = moment_evolution(m0, params, t)
-        pad, dz = _margins(spec, math.sqrt(m.var_z),
-                           _momentum_reach(m, 0.0), unit)
+        pad = 9.0 * math.sqrt(m.var_z) + spec.delta + 8.0 * spec.delta0
+        dz = _spacing(spec, _momentum_reach(m, 0.0), unit)
         with np.errstate(all="ignore"):  # inf or nan if a scale overflowed
             half = np.ceil(np.divide(pad, dz))
         if not 2 * half + 1 <= MAX_SNAPSHOT_POINTS:

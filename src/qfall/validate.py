@@ -31,7 +31,7 @@ from .errors import (
     NoCrossingError,
     PreconditionError,
 )
-from .experiments import _margins, _momentum_reach
+from .experiments import _momentum_reach, _spacing
 from .evolve import (
     ACCELERATED_FRAME,
     GRAVITY,
@@ -78,6 +78,11 @@ __all__ = [
 # before a run aborts; prevents silent wraparound on the periodic domain.
 BOUNDARY_TOL = 1e-10
 BOUNDARY_CELLS = 5
+# Edge amplitude exact_wavefunction allows (the tolerance its fields are
+# compared at), and the one plan_domain leaves at every time of a run: lower,
+# so that FFT roundoff on a planned grid stays below the guard.
+EXACT_EDGE_TOL = 1e-12
+DOMAIN_TOL = 1e-14
 # Factor by which a split-step grid must out-resolve the momentum a run
 # acquires.
 NYQUIST_MARGIN = 2.0
@@ -182,7 +187,7 @@ def norm(field: GridField) -> float:
 def _edge_probability(amplitudes: np.ndarray, spacing: float,
                       cells: int = BOUNDARY_CELLS) -> float:
     """Probability in the outermost `cells` samples on each side, read from
-    those samples alone: the one boundary guard of every grid field."""
+    those samples alone: the split-step solver's boundary guard."""
     edge = np.concatenate((amplitudes[:cells], amplitudes[-cells:]))
     return float(np.vdot(edge, edge).real) * spacing
 
@@ -291,9 +296,10 @@ def exact_wavefunction(spec: WavepacketSpec, params: LinearPotentialParams,
 
     with phi the free spectral evolution of the initial state. The free
     intermediate never falls, so the domain must contain both the fallen
-    and the unfallen spread packet; both are checked against the boundary
-    guard and a breach raises :class:`DomainError` advising a larger grid.
-    It is the oracle of :func:`closed_form_field`.
+    and the unfallen spread packet; an amplitude above ``EXACT_EDGE_TOL``
+    in the ``BOUNDARY_CELLS`` outermost samples of either raises
+    :class:`DomainError` advising a larger grid. It is the oracle of
+    :func:`closed_form_field`.
     """
     if t < 0:
         raise PreconditionError("evolution time must be nonnegative")
@@ -309,7 +315,9 @@ def exact_wavefunction(spec: WavepacketSpec, params: LinearPotentialParams,
              "boundary; enlarge the grid above the release point"),
             (out.amplitudes, "evolved state reaches the boundary; enlarge the "
              "grid below the detector")):
-        if _edge_probability(amplitudes, grid.spacing) > BOUNDARY_TOL:
+        edge = np.concatenate((amplitudes[:BOUNDARY_CELLS],
+                               amplitudes[-BOUNDARY_CELLS:]))
+        if np.abs(edge).max() > EXACT_EDGE_TOL:
             raise DomainError(text)
     return out
 
@@ -528,25 +536,33 @@ def plan_domain(entries, z_detector: float, t_final: float,
                 max_points: int = 2**16) -> SpatialGrid:
     """Size the periodic domain for the one (spec, params) drop of `entries`.
 
-    The grid must hold the fallen packet with its spread tails, the
-    detector plane, and (for the exact propagator's intermediate) the
-    packet spreading in place without falling, for the split-step oracle.
-    Pad and spacing are `_margins` at the widest spread and the run's
-    `_momentum_reach`; the size is the smallest `fft_size`, at least 1,024."""
+    Each branch is a free Gaussian of width w(t) = |delta0^2 + i hbar t /
+    m_i| / delta0 about a fixed centre in u = z + g_eff t^2 / 2, of
+    amplitude at most A = N (|c+| + |c-|). Beyond w(t_final) sqrt(2 ln(A /
+    DOMAIN_TOL)) above the top centre, and as far below the bottom centre
+    fallen by g_eff t_final^2 / 2, the field and `exact_wavefunction`'s free
+    intermediate stay below ``DOMAIN_TOL`` for all t in [0, t_final]. The
+    grid's points span that range and the detector. The spacing is
+    `_spacing` at the run's `_momentum_reach`; the size is the smallest
+    `fft_size`, at least 1,024. A negative or nan `t_final` raises
+    PreconditionError; one too long to square raises ConfigurationError."""
     [(spec, params)] = entries
-    m0 = analytic_moments(spec, unit)
-    v0 = m0.mean_p / params.mass.m_inertial
-    sigma = max(math.sqrt(m0.var_z),
-                math.sqrt(moment_evolution(m0, params, t_final).var_z))
-    pad, spacing = _margins(
-        spec, sigma, _momentum_reach(m0, params.force * t_final), unit)
-    free_top = max(m0.mean_z, m0.mean_z + v0 * t_final)
-    fall = [m0.mean_z,
-            m0.mean_z + v0 * t_final - 0.5 * params.g_eff * t_final**2]
-    if params.g_eff > 0 and 0 < v0 / params.g_eff < t_final:
-        fall.append(m0.mean_z + 0.5 * v0 * (v0 / params.g_eff))
-    z_top = max(free_top, max(fall)) + pad
-    z_bot = min(min(fall), z_detector) - pad
+    if not t_final >= 0:
+        raise PreconditionError(f"t_final must be nonnegative, got {t_final!r}")
+    if t_final * t_final == math.inf:
+        raise ConfigurationError(f"t_final {t_final!r} is too long to square")
+    lo, hi = spec.peak_centers()
+    amplitude = normalization_constant(spec) * (
+        abs(spec.c_plus) + abs(spec.c_minus) * (spec.kind == CAT))
+    width = abs(spec.delta0**2 + 1j * unit.hbar * t_final
+                / params.mass.m_inertial) / spec.delta0
+    reach = width * math.sqrt(2.0 * max(0.0, math.log(amplitude / DOMAIN_TOL)))
+    spacing = _spacing(spec, _momentum_reach(analytic_moments(spec, unit),
+                                             params.force * t_final), unit)
+    # a periodic grid's last point is one spacing below z_top
+    z_top = max(hi + reach, z_detector) + spacing
+    z_bot = min(lo - 0.5 * params.g_eff * t_final * t_final - reach,
+                z_detector)
     need = (z_top - z_bot) / spacing  # inf or nan if a scale overflowed
     n = (max(fft_size(need), MIN_GRID_POINTS) if need <= max_points
          else need)
@@ -655,13 +671,14 @@ def check_strang_order():
 
 def check_planned_grid_drops():
     # Strang splitting is exact up to a global phase in a linear potential.
-    # The m = 16 Gaussian's field: 4.4e-14 on 1,440 points, held to 1e-12.
-    # Its probe current and four random cats' (m in [0.5, 16], z0 in [-2, 2]
-    # over a detector at 0): 1.3e-13 from `arrival_current`, held to 1e-11.
-    # Their fields at t = 3: 4.0e-13 from `closed_form_field`, held to 1e-12.
+    # The m = 32 Gaussian's field: 9.3e-14 on 1,728 points (5-smooth, not a
+    # power of two), held to 1e-12. Its probe current and four random cats'
+    # (m in [0.5, 16], z0 in [-2, 2] over a detector at 0): 1.3e-13 from
+    # `arrival_current`, held to 1e-11. Their fields at t = 3: 8.9e-15 from
+    # `closed_form_field`, held to 1e-12.
     rng = np.random.default_rng(20261019)
     runs, field_gap = [], 0.0
-    for spec, mass in [(WavepacketSpec.gaussian(2.0, 1.0), 16.0)] + [
+    for spec, mass in [(WavepacketSpec.gaussian(2.0, 1.0), 32.0)] + [
             (random_cat(rng), rng.uniform(0.5, 16.0)) for _ in range(4)]:
         params = LinearPotentialParams(MassPair(mass, mass), 1.0, GRAVITY)
         grid = plan_domain([(spec, params)], 0.0, 3.0, _UNIT)

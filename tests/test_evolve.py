@@ -11,6 +11,7 @@ from qfall import (
     STATE_FAMILIES,
     BoundaryBreachError,
     ConfigurationError,
+    DomainError,
     GridField,
     LinearPotentialParams,
     MassPair,
@@ -38,7 +39,7 @@ from qfall.evolve import _branch_sum
 from qfall.states import CAT, normalization_constant
 from qfall.validate import probe_current, probe_weights
 
-from conftest import grid_for, padded, random_cat
+from conftest import grid_for, random_cat
 
 
 def params_g(mi=1.0, mg=1.0, g=1.0, mode=GRAVITY):
@@ -318,6 +319,24 @@ def test_exact_rejects_negative_time():
         exact_wavefunction(spec, params_g(), -0.1, grid_for(spec, 256))
 
 
+def test_exact_default_cat_is_guarded_and_exact_on_its_planned_domain():
+    """The default male cat at the end of its drop: on its planned domain
+    `exact_wavefunction` equals `closed_form_field` to 1e-12. On the
+    1,152-point domain a 9 sigma_z pad planned for it, the free
+    intermediate holds |psi| = 7.6e-8 at an edge and the field missed by
+    6.7e-8, so the guard raises."""
+    spec = WavepacketSpec.male_cat(2.0, 1.0, 1.0)
+    t_cross, sigma = crossing_spread(analytic_moments(spec), params_g(), 0.0)
+    t_final = t_cross + 1.08 * 8.0 * sigma
+    grid = plan_domain([(spec, params_g())], 0.0, t_final)
+    exact = exact_wavefunction(spec, params_g(), t_final, grid).amplitudes
+    field = closed_form_field(spec, params_g(), t_final, grid.points)
+    assert np.max(np.abs(field - exact)) <= 1e-12
+    wrapping = make_grid(-79.24138938257084, 48.44560906949767, 1152)
+    with pytest.raises(DomainError, match="reaches the boundary"):
+        exact_wavefunction(spec, params_g(), t_final, wrapping)
+
+
 def test_csv_snapshots_are_written_one_at_a_time(tmp_path):
     """The writer takes the next snapshot only after the previous file is on
     disk, so a lazy source holds one field at a time; npz files too."""
@@ -427,14 +446,12 @@ def test_record_matches_snapshots_property(seed, m_inertial, m_gravitational,
 @example(seed=4294967295, mass=0.5, mode=GRAVITY)
 def test_arrival_current_matches_the_split_step_probe(seed, mass, mode):
     """Random cats of mass 0.5 to 16, released from z0 in [-2, 2] over a
-    detector at 0, on their planned grids padded by 10 on each side: the
-    closed-form current equals the solver's probe current to 1e-11 (gaps
-    seen: at most 8.6e-14 over 150 draws). The planned grid of a light cat
-    can keep |psi|^2 near 1e-15 at its edges at t = 3, where the periodic
-    oracle wraps and misses by 1.1e-10 (the pinned example)."""
+    detector at 0, on their planned grids: the closed-form current equals
+    the solver's probe current to 1e-11. The pinned light cat missed by
+    1.13e-10 on a grid planned with a 9 sigma_z pad; it agrees to 1.6e-14."""
     spec = random_cat(np.random.default_rng(seed))
     params = LinearPotentialParams(MassPair(mass, mass), 1.0, mode)
-    grid = padded(plan_domain([(spec, params)], 0.0, 3.0), 10.0)
+    grid = plan_domain([(spec, params)], 0.0, 3.0)
     run = split_step_evolve(build_wavefunction(spec, grid), params, 3.0 / 256,
                             256, probe_z=0.0, record_stride=3)
     current = arrival_current(spec, params, 0.0, run.times)
@@ -453,12 +470,10 @@ def test_closed_form_field_matches_the_exact_propagator(seed, kind, mass,
     """Each state kind, of mass 0.5 to 16 and released from z0 in [1, 4] over
     a detector at 0, at any t of its drop's run: the closed-form field equals
     `exact_wavefunction` to 1e-12 on the planned domain (above the default
-    2^16 points for some long drops) padded by 60 plus 5 sigma_z(t_final) on
-    each side, where the periodic oracle has converged (on the planned
-    domain alone a light cat's oracle wraps by up to 3.4e-7; padded by 60
-    alone, the pinned wide light cat's still wraps by 6.4e-10).
+    2^16 points for some long drops). The pinned wide light cat wrapped by
+    2.2e-7 on a domain planned with a 9 sigma_z pad.
 
-    The pinned heavy female cat (t = 22.56, 87,480 points) needs both
+    The pinned heavy female cat (t = 22.56, 49,152 points) needs both
     routes to round t^3 alike: one ulp apart, as a Python float and a 0-d
     array round it, is a global phase offset of 1.46e-11 rad and a 5.2e-12
     gap. Both take the phase from `evolve._galilean_phase`; the gap is
@@ -471,9 +486,7 @@ def test_closed_form_field_matches_the_exact_propagator(seed, kind, mass,
     m0 = analytic_moments(spec)
     t_cross, sigma = crossing_spread(m0, params, 0.0)
     t_final = t_cross + 1.08 * 8.0 * sigma
-    sigma_z = math.sqrt(moment_evolution(m0, params, t_final).var_z)
-    grid = padded(plan_domain([(spec, params)], 0.0, t_final,
-                              max_points=2**18), 60.0 + 5.0 * sigma_z)
+    grid = plan_domain([(spec, params)], 0.0, t_final, max_points=2**18)
     t = fraction * t_final
     exact = exact_wavefunction(spec, params, t, grid).amplitudes
     field = closed_form_field(spec, params, t, grid.points)

@@ -46,7 +46,7 @@ from qfall import (
 from qfall import evolve, experiments, tof, validate
 from qfall.validate import probe_weights
 from conftest import (EPS_RATIO, EXTREME_CONFIGS, largest_prime_factor,
-                      padded, short_default)
+                      short_default)
 
 FAST_SOLVER = SolverSettings(time_steps=1024)
 
@@ -77,6 +77,39 @@ def test_plan_domain_respects_cap():
     with pytest.raises(ConfigurationError,
                        match="above max_points = 2048; .* larger max_points"):
         plan_domain([(spec, params)], 0.0, 25.0, max_points=2048)
+
+
+@pytest.mark.parametrize("t_final,error", [
+    (-1.0, PreconditionError), (math.nan, PreconditionError),
+    (1e200, ConfigurationError), (math.inf, ConfigurationError)])
+def test_plan_domain_rejects_a_bad_run_length(t_final, error):
+    params = LinearPotentialParams(MassPair(1, 1), 1.0, GRAVITY)
+    with pytest.raises(error, match="t_final"):
+        plan_domain([(WavepacketSpec.gaussian(2.0, 1.0), params)], 0.0, t_final)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(STATE_FAMILIES)), z0=st.floats(1.0, 4.0),
+       delta0=st.floats(0.6, 1.6), separation=st.floats(0.3, 2.5),
+       mass=st.floats(0.5, 16.0),
+       mode=st.sampled_from((GRAVITY, ACCELERATED_FRAME)))
+@example(kind="male", z0=2.0, delta0=1.0, separation=1.0, mass=1.0,
+         mode=GRAVITY)
+def test_plan_domain_edges_hold_the_planner_tolerance(kind, z0, delta0,
+                                                      separation, mass, mode):
+    """At 9 times of the drop's run, the closed-form field and the free
+    intermediate (the field at field strength 0) are within `DOMAIN_TOL` at
+    the planned grid's first and last points. The pinned default male cat
+    held 7.2e-8 there on a grid planned with a 9 sigma_z pad."""
+    spec = STATE_FAMILIES[kind](z0, separation * delta0, delta0)
+    params = LinearPotentialParams(MassPair(mass, mass), 1.0, mode)
+    t_cross, sigma = tof.crossing_spread(analytic_moments(spec), params, 0.0)
+    t_final = t_cross + 1.08 * 8.0 * sigma
+    grid = plan_domain([(spec, params)], 0.0, t_final, max_points=2**18)
+    t, edges = np.linspace(0.0, t_final, 9)[:, None], grid.points[[0, -1]]
+    for field_params in (params, replace(params, field_strength=0.0)):
+        field = closed_form_field(spec, field_params, t, edges)
+        assert np.max(np.abs(field)) <= validate.DOMAIN_TOL
 
 
 def is_fft_size(n):
@@ -725,7 +758,8 @@ def assert_unit_norm_windows(snapshots, points):
 def test_snapshots_are_the_exact_fields(tmp_path, fmt):
     """Each listed snapshot holds `closed_form_field` on its own window at
     t = j K dt, with the stride K not rounded to the record stride: the
-    packet's mean at t, with `_margins` at t on either side."""
+    packet's mean at t padded by 9 sigma_z(t) + delta + 8 delta0 on either
+    side, at the `_spacing` of its momentum at t."""
     particle = gaussian_particle()
     solver = SolverSettings(time_steps=1024, record_stride=8,
                             snapshot_stride=300, snapshot_format=fmt)
@@ -739,9 +773,10 @@ def test_snapshots_are_the_exact_fields(tmp_path, fmt):
         step * report.records[0]["dt"] for step in (0, 300, 600, 900)]
     for t, z, psi in snapshots:
         m = moment_evolution(m0, params, t)
-        pad, dz = experiments._margins(
-            particle.spec, math.sqrt(m.var_z),
-            experiments._momentum_reach(m, 0.0), DEFAULT_UNITS)
+        spec = particle.spec
+        pad = 9.0 * math.sqrt(m.var_z) + spec.delta + 8.0 * spec.delta0
+        dz = experiments._spacing(spec, experiments._momentum_reach(m, 0.0),
+                                  DEFAULT_UNITS)
         half = math.ceil(pad / dz)
         assert np.array_equal(z, m.mean_z + dz * np.arange(-half, half + 1))
         assert np.array_equal(psi, closed_form_field(particle.spec, params,
@@ -752,9 +787,9 @@ def test_snapshots_are_the_exact_fields(tmp_path, fmt):
 
 def test_light_cat_snapshot_matches_the_converged_oracle(tmp_path):
     """The male cat (m_i = m_g = 0.7116, z0 = 2.890, delta = delta0 = 1)
-    whose last snapshot (t = 9.473) the exact propagator on its planned
-    1,440-point domain missed by 3.4e-7: the written snapshot agrees to
-    1e-12 with that propagator on the domain padded by 60 on each side,
+    whose last snapshot (t = 9.473) the exact propagator once missed by
+    3.4e-7 on a 1,440-point domain padded by 9 sigma_z: the written
+    snapshot agrees to 1e-12 with that propagator on its planned domain,
     read at the window's points by band-limited interpolation."""
     particle = Particle(WavepacketSpec.male_cat(2.890, 1.0, 1.0),
                         MassPair(0.7116, 0.7116))
@@ -765,9 +800,7 @@ def test_light_cat_snapshot_matches_the_converged_oracle(tmp_path):
     *_, (t, z, psi) = read_snapshots(tmp_path, report, "particle1_gravity")
     assert t == pytest.approx(9.473, abs=5e-4)
     params = LinearPotentialParams(particle.mass, 1.0)
-    planned = plan_domain([(particle.spec, params)], 0.0, t)
-    assert planned.n_points == 1440
-    grid = padded(planned, 60.0)
+    grid = plan_domain([(particle.spec, params)], 0.0, t)
     spectrum = np.fft.fft(exact_wavefunction(particle.spec, params, t,
                                              grid).amplitudes)
     oracle = np.array([probe_weights(grid, zj)[0] @ spectrum for zj in z])
